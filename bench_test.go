@@ -37,7 +37,7 @@ func benchOpts() bench.Options {
 
 func runExperiment(b *testing.B, id string, opts bench.Options) {
 	b.Helper()
-	e, err := bench.Lookup(id)
+	e, err := bench.Lookup(bench.Experiments(), id)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -252,30 +252,29 @@ func TestLSBenchCLIListAndTable2(t *testing.T) {
 	}
 }
 
-func TestLSStdCLISaveLoadSpace(t *testing.T) {
+func TestLSStdCLIRegistryDir(t *testing.T) {
 	bin := buildCLIs(t)
 	dir, csv, scriptPath, corpusDir := writeFixtures(t)
-	space := filepath.Join(dir, "space.json")
-	// Curate once and save.
-	cmd := exec.Command(filepath.Join(bin, "lsstd"),
-		"-script", scriptPath, "-corpus", corpusDir, "-data", csv,
-		"-tau", "0.5", "-seq", "4", "-save-space", space)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("save-space: %v\n%s", err, out)
+	lsstd := func(args ...string) string {
+		t.Helper()
+		args = append([]string{"-script", scriptPath, "-data", csv, "-tau", "0.5", "-seq", "4"}, args...)
+		out, err := exec.Command(filepath.Join(bin, "lsstd"), args...).Output()
+		if err != nil {
+			t.Fatalf("lsstd %v: %v", args, err)
+		}
+		return string(out)
 	}
-	if _, err := os.Stat(space); err != nil {
-		t.Fatal("search space file missing")
+	plain := lsstd("-corpus", corpusDir)
+	if !strings.Contains(plain, "read_csv") {
+		t.Fatalf("plain output:\n%s", plain)
 	}
-	// Reuse without the corpus directory.
-	cmd2 := exec.Command(filepath.Join(bin, "lsstd"),
-		"-script", scriptPath, "-load-space", space, "-data", csv,
-		"-tau", "0.5", "-seq", "4")
-	out2, err := cmd2.Output()
-	if err != nil {
-		t.Fatalf("load-space: %v", err)
+	// Curate once into the registry, then reuse it without the corpus.
+	reg := filepath.Join(dir, "registry")
+	if curated := lsstd("-corpus", corpusDir, "-registry-dir", reg); curated != plain {
+		t.Fatalf("curating run differs from plain -corpus:\n%s\nvs\n%s", curated, plain)
 	}
-	if !strings.Contains(string(out2), "read_csv") {
-		t.Fatalf("load-space output:\n%s", out2)
+	if warm := lsstd("-registry-dir", reg); warm != plain {
+		t.Fatalf("warm -registry-dir run differs from plain -corpus:\n%s\nvs\n%s", warm, plain)
 	}
 }
 
@@ -421,7 +420,13 @@ func TestLSBenchCLIBatchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("JSON record file: %v", err)
 	}
-	var records []map[string]any
+	var records []struct {
+		Experiment string             `json:"experiment"`
+		Key        string             `json:"key"`
+		Metrics    map[string]float64 `json:"metrics"`
+		Details    map[string]float64 `json:"details"`
+		Identical  bool               `json:"identical"`
+	}
 	if err := json.Unmarshal(data, &records); err != nil {
 		t.Fatalf("unmarshal %s: %v", jsonPath, err)
 	}
@@ -429,15 +434,20 @@ func TestLSBenchCLIBatchJSON(t *testing.T) {
 		t.Fatalf("records = %d, want 1", len(records))
 	}
 	rec := records[0]
-	if rec["dataset"] != "Medical" || rec["jobs"] != float64(2) {
-		t.Fatalf("record fields: %v", rec)
+	if rec.Experiment != "batch" || rec.Key != "Medical" || rec.Details["jobs"] != 2 {
+		t.Fatalf("record fields: %+v", rec)
 	}
-	if rec["identical"] != true {
-		t.Fatalf("batch output not identical to sequential: %v", rec)
+	if !rec.Identical {
+		t.Fatalf("batch output not identical to sequential: %+v", rec)
 	}
-	for _, key := range []string{"workers", "sequential_ms", "batch_ms", "speedup", "curate_ms", "cache_hits"} {
-		if _, ok := rec[key]; !ok {
-			t.Fatalf("record missing %q: %v", key, rec)
+	for _, key := range []string{"sequential_ms", "batch_ms"} {
+		if _, ok := rec.Metrics[key]; !ok {
+			t.Fatalf("record missing metric %q: %+v", key, rec)
+		}
+	}
+	for _, key := range []string{"workers", "speedup", "curate_ms", "cache_hits"} {
+		if _, ok := rec.Details[key]; !ok {
+			t.Fatalf("record missing detail %q: %+v", key, rec)
 		}
 	}
 }

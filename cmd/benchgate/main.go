@@ -1,37 +1,36 @@
 // Command benchgate compares a perf report produced by `lsbench -exp
-// regress -json report.json` against the committed BENCH_batch.json /
-// BENCH_serve.json baselines and exits non-zero on regression.
+// regress -json report.json` against the committed BENCH_*.json baselines
+// and exits non-zero on regression.
 //
 // Usage:
 //
 //	lsbench -exp regress -batch-workers 1 -json report.json
 //	benchgate -report report.json
-//	benchgate -report report.json -warn 1.5 -fail 2.0
+//	benchgate -report report.json -warn 1.5 -fail 2.0 -baselines 'BENCH_*.json'
 //
-// Wall-clock comparisons across machines are noisy, so the gate is
+// Report and baselines are both []bench.Record, joined on (experiment,
+// key). Wall-clock comparisons across machines are noisy, so the gate is
 // two-tier: ratios above -warn are printed but tolerated, ratios above
-// -fail (or any non-identical output) exit 1. CI runs it with the generous
-// defaults; refresh the baselines on the reference machine when the code
-// gets legitimately faster or slower.
+// -fail (or any non-identical output or broken floor) exit 1. CI runs it
+// with generous thresholds; refresh the baselines on the reference machine
+// when the code gets legitimately faster or slower.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"lucidscript/internal/bench"
 )
 
 func main() {
 	var (
-		report     = flag.String("report", "", "regress report JSON (from lsbench -exp regress -json)")
-		batchBase  = flag.String("batch-baseline", "BENCH_batch.json", "committed batch baseline")
-		serveBase  = flag.String("serve-baseline", "BENCH_serve.json", "committed serve baseline")
-		routeBase  = flag.String("route-baseline", "BENCH_route.json", "committed route baseline")
-		curateBase = flag.String("curate-baseline", "BENCH_curate.json", "committed curate baseline")
-		warn       = flag.Float64("warn", 1.5, "warn when current/baseline wall-clock exceeds this ratio")
-		fail       = flag.Float64("fail", 2.0, "fail when current/baseline wall-clock exceeds this ratio")
+		report    = flag.String("report", "", "regress report JSON (from lsbench -exp regress -json)")
+		baselines = flag.String("baselines", "BENCH_*.json", "glob of committed baseline record files (must match at least one)")
+		warn      = flag.Float64("warn", 1.5, "warn when current/baseline wall-clock exceeds this ratio")
+		fail      = flag.Float64("fail", 2.0, "fail when current/baseline wall-clock exceeds this ratio")
 	)
 	flag.Parse()
 	if *report == "" {
@@ -39,42 +38,36 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	rep, err := bench.LoadRegressReport(*report)
+	rep, err := bench.LoadRecords(*report)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+		fatal(err)
 	}
-	bb, err := bench.LoadBatchBaseline(*batchBase)
+	paths, err := filepath.Glob(*baselines)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+		fatal(err)
 	}
-	sb, err := bench.LoadServeBaseline(*serveBase)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+	if len(paths) == 0 {
+		fatal(fmt.Errorf("-baselines %q matches no file", *baselines))
 	}
-	// The route baseline is newer than the other two; a missing file is
-	// tolerated (its comparisons just degrade to "no baseline record")
-	// so the gate keeps working on checkouts predating BENCH_route.json.
-	rb, err := bench.LoadRouteBaseline(*routeBase)
-	if err != nil && !os.IsNotExist(err) {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	// Same forgiveness for the curate baseline, newer still.
-	cb, err := bench.LoadCurateBaseline(*curateBase)
-	if err != nil && !os.IsNotExist(err) {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+	var base []bench.Record
+	for _, p := range paths {
+		recs, err := bench.LoadRecords(p)
+		if err != nil {
+			fatal(err)
+		}
+		base = append(base, recs...)
 	}
 
-	findings := bench.Gate(rep, bb, sb, rb, cb, bench.GateConfig{WarnRatio: *warn, FailRatio: *fail})
+	findings := bench.Gate(rep, base, bench.GateConfig{WarnRatio: *warn, FailRatio: *fail})
 	fmt.Println(bench.GateTable(findings).Render())
 	fails, _, line := bench.GateSummary(findings)
 	fmt.Println(line)
 	if fails > 0 {
 		os.Exit(1)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "benchgate:", err)
+	os.Exit(2)
 }

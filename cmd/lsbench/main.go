@@ -23,12 +23,6 @@ import (
 )
 
 func main() {
-	// The serve and regress experiments live in their own package because
-	// they depend on the facade (see bench.ServeRunner); link them into the
-	// registry here.
-	bench.ServeRunner = serveexp.Run
-	bench.RouteRunner = serveexp.Route
-	bench.RegressRunner = serveexp.Regress
 	var (
 		exp         = flag.String("exp", "all", "experiment id (e.g. table5, fig9) or 'all'")
 		list        = flag.Bool("list", false, "list experiments and exit")
@@ -43,21 +37,18 @@ func main() {
 		maxCells    = flag.Int("max-cells", 0, "cap rows*cols of any value a candidate materializes (0 = governor off; setting this or -max-steps enables default budgets for the rest)")
 		maxSteps    = flag.Int("max-steps", 0, "cap statements per candidate execution (0 = governor off)")
 		batchWork   = flag.Int("batch-workers", 0, "worker pool size for the batch experiment (0 = GOMAXPROCS)")
-		jsonPath    = flag.String("json", "", "also write machine-readable results (batch, serve, regress experiments) to this JSON file")
-		batchBase   = flag.String("batch-baseline", "", "committed batch baseline for the regress experiment (e.g. BENCH_batch.json)")
-		serveBase   = flag.String("serve-baseline", "", "committed serve baseline for the regress experiment (e.g. BENCH_serve.json)")
-		routeBase   = flag.String("route-baseline", "", "committed route baseline for the regress experiment (e.g. BENCH_route.json)")
-		curateBase  = flag.String("curate-baseline", "", "committed curate baseline for the regress experiment (e.g. BENCH_curate.json)")
-		gateWarn    = flag.Float64("gate-warn", 1.5, "regress gate: warn when current/baseline wall-clock exceeds this ratio")
-		gateFail    = flag.Float64("gate-fail", 2.0, "regress gate: fail when current/baseline wall-clock exceeds this ratio")
+		jsonPath    = flag.String("json", "", "also write machine-readable records (batch, serve, route, curate, regress experiments) to this JSON file")
 		quiet       = flag.Bool("q", false, "suppress progress output")
 		trace       = flag.Bool("trace", false, "stream structured search events to stderr")
 		metricsDump = flag.Bool("metrics-dump", false, "print cumulative search counters in Prometheus text format to stderr on exit")
 	)
 	flag.Parse()
 
+	// The serve, route, and regress experiments need the facade, so they
+	// live in their own package; regress stays last for -exp all.
+	exps := append(bench.Experiments(), serveexp.Experiments()...)
 	if *list {
-		for _, e := range bench.Experiments() {
+		for _, e := range exps {
 			fmt.Printf("%-8s %-9s %s\n", e.ID, e.Paper, e.Description)
 		}
 		return
@@ -68,20 +59,15 @@ func main() {
 		os.Exit(2)
 	}
 	opts := bench.Options{
-		Seed:               *seed,
-		RowScale:           *rowScale,
-		MinRows:            *minRows,
-		ScriptsPerDataset:  *scripts,
-		SeqLength:          *seq,
-		BeamSize:           *beam,
-		DisableExecCache:   *execCache == "off",
-		BatchWorkers:       *batchWork,
-		JSONPath:           *jsonPath,
-		BatchBaselinePath:  *batchBase,
-		ServeBaselinePath:  *serveBase,
-		RouteBaselinePath:  *routeBase,
-		CurateBaselinePath: *curateBase,
-		Gate:               bench.GateConfig{WarnRatio: *gateWarn, FailRatio: *gateFail},
+		Seed:              *seed,
+		RowScale:          *rowScale,
+		MinRows:           *minRows,
+		ScriptsPerDataset: *scripts,
+		SeqLength:         *seq,
+		BeamSize:          *beam,
+		DisableExecCache:  *execCache == "off",
+		BatchWorkers:      *batchWork,
+		JSONPath:          *jsonPath,
 	}
 	if *maxCells > 0 || *maxSteps > 0 {
 		limits := interp.DefaultLimits()
@@ -110,14 +96,14 @@ func main() {
 
 	var ids []string
 	if *exp == "all" {
-		for _, e := range bench.Experiments() {
+		for _, e := range exps {
 			ids = append(ids, e.ID)
 		}
 	} else {
 		ids = strings.Split(*exp, ",")
 	}
 	for _, id := range ids {
-		e, err := bench.Lookup(id)
+		e, err := bench.Lookup(exps, id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -62,9 +62,7 @@ func main() {
 		scriptPath  = flag.String("script", "", "path to the input LSL script (required unless -jobs)")
 		jobsGlob    = flag.String("jobs", "", "glob of input scripts to standardize as one concurrent batch")
 		batchWork   = flag.Int("batch-workers", 0, "worker pool size for -jobs (0 = GOMAXPROCS)")
-		corpusDir   = flag.String("corpus", "", "directory of corpus scripts (required unless -load-space or -registry-dir)")
-		saveSpace   = flag.String("save-space", "", "write the curated search space to this file")
-		loadSpace   = flag.String("load-space", "", "load a search space written by -save-space instead of curating -corpus")
+		corpusDir   = flag.String("corpus", "", "directory of corpus scripts (required unless -registry-dir)")
 		registryDir = flag.String("registry-dir", "", "corpus-registry directory: warm-load the curated state; with -corpus, diff the directory against the registry and publish a new version incrementally")
 		measure     = flag.String("measure", "jaccard", "user-intent measure: jaccard or model")
 		tau         = flag.Float64("tau", 0, "intent threshold (default 0.9 jaccard / 1% model)")
@@ -86,12 +84,8 @@ func main() {
 	flag.Var(&dataPaths, "data", "CSV data file (repeatable)")
 	flag.Parse()
 
-	if (*scriptPath == "" && *jobsGlob == "") || (*corpusDir == "" && *loadSpace == "" && *registryDir == "") || len(dataPaths) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: lsstd (-script prep.ls | -jobs 'glob') (-corpus dir | -load-space file | -registry-dir dir) -data file.csv")
-		os.Exit(2)
-	}
-	if *registryDir != "" && *loadSpace != "" {
-		fmt.Fprintln(os.Stderr, "lsstd: -registry-dir and -load-space are mutually exclusive")
+	if (*scriptPath == "" && *jobsGlob == "") || (*corpusDir == "" && *registryDir == "") || len(dataPaths) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: lsstd (-script prep.ls | -jobs 'glob') (-corpus dir | -registry-dir dir [-corpus dir]) -data file.csv")
 		os.Exit(2)
 	}
 	if *lint && *scriptPath == "" {
@@ -164,16 +158,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	} else if *loadSpace != "" {
-		fh, err := os.Open(*loadSpace)
-		if err != nil {
-			fatal(err)
-		}
-		sys, err = lucidscript.LoadSystem(fh, sources, opts)
-		fh.Close()
-		if err != nil {
-			fatal(err)
-		}
 	} else {
 		corpus, err := loadCorpus(*corpusDir)
 		if err != nil {
@@ -183,17 +167,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	}
-	if *saveSpace != "" {
-		fh, err := os.Create(*saveSpace)
-		if err != nil {
-			fatal(err)
-		}
-		if err := sys.SaveSearchSpace(fh); err != nil {
-			fatal(err)
-		}
-		fh.Close()
-		fmt.Fprintf(os.Stderr, "search space written to %s\n", *saveSpace)
 	}
 	stats := sys.Stats()
 	fmt.Fprintf(os.Stderr, "corpus: %d scripts, %d unique 1-grams, %d n-grams, %d edges\n",

@@ -10,30 +10,6 @@ import (
 	"lucidscript/internal/intent"
 )
 
-// BatchResult is the JSON shape written next to the "batch" experiment's
-// table (see Options.JSONPath): one record per dataset comparing a batch
-// standardization against the same jobs run sequentially, each with its own
-// freshly curated system.
-type BatchResult struct {
-	Dataset string `json:"dataset"`
-	Jobs    int    `json:"jobs"`
-	Workers int    `json:"workers"`
-	// Reps is how many times each arm ran; the times below are the best
-	// rep, the standard way to cut scheduler noise out of wall-clock runs.
-	Reps         int     `json:"reps"`
-	SequentialMS float64 `json:"sequential_ms"`
-	BatchMS      float64 `json:"batch_ms"`
-	Speedup      float64 `json:"speedup"`
-	// CurateMS is the one-time curation cost inside the batch run; the
-	// sequential baseline pays it once per job.
-	CurateMS float64 `json:"curate_ms"`
-	// CacheHits counts shared-session prefix hits across all batch jobs.
-	CacheHits int64 `json:"cache_hits"`
-	// Identical reports that every batch output matched its sequential
-	// counterpart byte for byte (the experiment fails otherwise).
-	Identical bool `json:"identical"`
-}
-
 // Batch measures the concurrent batch engine against the sequential
 // baseline the paper's single-user workflow implies: N users each curating
 // their own system and standardizing one script. The batch path curates
@@ -44,19 +20,18 @@ func Batch(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.JSONPath != "" {
-		if err := writeJSON(opts.JSONPath, records); err != nil {
-			return nil, err
-		}
-		opts.logf("batch results written to %s", opts.JSONPath)
-	}
-	return table, nil
+	return table, opts.WriteRecords(records)
 }
 
-// BatchRecords runs the batch experiment and returns the per-dataset
-// records alongside the rendered table, without touching Options.JSONPath.
-// The regress experiment reuses it to assemble a combined report.
-func BatchRecords(opts Options) ([]BatchResult, *Table, error) {
+// batchReps is how many times each batch-experiment arm runs; the best
+// rep is recorded.
+const batchReps = 5
+
+// BatchRecords runs the batch experiment and returns one record per
+// dataset (plus an "all" aggregate) alongside the rendered table, without
+// touching Options.JSONPath. The regress experiment reuses it to assemble
+// a combined report. Metrics are the two arms' best-rep wall clock.
+func BatchRecords(opts Options) ([]Record, *Table, error) {
 	opts = opts.withDefaults()
 	workers := opts.BatchWorkers
 	if workers <= 0 {
@@ -67,7 +42,9 @@ func BatchRecords(opts Options) ([]BatchResult, *Table, error) {
 		Title:  "Batch standardization vs sequential (one curation + shared cache vs per-job systems)",
 		Header: []string{"dataset", "jobs", "workers", "seq", "batch", "speedup", "curate", "cache hits"},
 	}
-	var records []BatchResult
+	var records []Record
+	var total [4]float64 // jobs, sequential ms, batch ms, curate ms
+	var totalHits int64
 	for _, name := range opts.Datasets {
 		gen, err := gc.get(name)
 		if err != nil {
@@ -80,11 +57,10 @@ func BatchRecords(opts Options) ([]BatchResult, *Table, error) {
 		// The arms run interleaved (sequential rep, then batch rep) so
 		// machine drift hits both equally, and the best rep per arm is
 		// recorded so one scheduler hiccup does not decide the comparison.
-		const reps = 5
 		var seqDur, batchDur, curate time.Duration
 		var cacheHits int64
 		seqOut := make([]string, len(jobs))
-		for r := 0; r < reps; r++ {
+		for r := 0; r < batchReps; r++ {
 			// Sequential baseline: each job pays for its own curation,
 			// exactly what N independent single-shot users would do.
 			// Collect first so garbage from earlier arms/datasets cannot
@@ -125,54 +101,46 @@ func BatchRecords(opts Options) ([]BatchResult, *Table, error) {
 			}
 		}
 
-		rec := BatchResult{
-			Dataset:      name,
-			Jobs:         len(jobs),
-			Workers:      workers,
-			Reps:         reps,
-			SequentialMS: float64(seqDur.Microseconds()) / 1e3,
-			BatchMS:      float64(batchDur.Microseconds()) / 1e3,
-			Speedup:      float64(seqDur) / float64(batchDur),
-			CurateMS:     float64(curate.Microseconds()) / 1e3,
-			CacheHits:    cacheHits,
-			Identical:    true,
-		}
+		rec, row := batchRecord(name, len(jobs), workers, ms(seqDur), ms(batchDur), ms(curate), cacheHits)
 		records = append(records, rec)
-		table.Rows = append(table.Rows, []string{
-			name,
-			fmt.Sprintf("%d", rec.Jobs),
-			fmt.Sprintf("%d", rec.Workers),
-			fmt.Sprintf("%.0fms", rec.SequentialMS),
-			fmt.Sprintf("%.0fms", rec.BatchMS),
-			fmt.Sprintf("%.2fx", rec.Speedup),
-			fmt.Sprintf("%.0fms", rec.CurateMS),
-			fmt.Sprintf("%d", rec.CacheHits),
-		})
-		opts.logf("%s: %d jobs, sequential %s vs batch %s (%.2fx)",
-			name, rec.Jobs, seqDur.Round(time.Millisecond), batchDur.Round(time.Millisecond), rec.Speedup)
+		table.Rows = append(table.Rows, row)
+		opts.logf("%s: %d jobs, sequential %s vs batch %s (%.2fx)", name, len(jobs),
+			seqDur.Round(time.Millisecond), batchDur.Round(time.Millisecond), rec.Details["speedup"])
+		for i, v := range []float64{float64(len(jobs)), ms(seqDur), ms(batchDur), ms(curate)} {
+			total[i] += v
+		}
+		totalHits += cacheHits
 	}
 	// Aggregate row: the whole workload, batch vs sequential.
 	if len(records) > 1 {
-		total := BatchResult{Dataset: "all", Workers: workers, Reps: records[0].Reps, Identical: true}
-		for _, r := range records {
-			total.Jobs += r.Jobs
-			total.SequentialMS += r.SequentialMS
-			total.BatchMS += r.BatchMS
-			total.CurateMS += r.CurateMS
-			total.CacheHits += r.CacheHits
-		}
-		total.Speedup = total.SequentialMS / total.BatchMS
-		records = append(records, total)
-		table.Rows = append(table.Rows, []string{
-			"all",
-			fmt.Sprintf("%d", total.Jobs),
-			fmt.Sprintf("%d", total.Workers),
-			fmt.Sprintf("%.0fms", total.SequentialMS),
-			fmt.Sprintf("%.0fms", total.BatchMS),
-			fmt.Sprintf("%.2fx", total.Speedup),
-			fmt.Sprintf("%.0fms", total.CurateMS),
-			fmt.Sprintf("%d", total.CacheHits),
-		})
+		rec, row := batchRecord("all", int(total[0]), workers, total[1], total[2], total[3], totalHits)
+		records = append(records, rec)
+		table.Rows = append(table.Rows, row)
 	}
 	return records, table, nil
+}
+
+// batchRecord builds one batch record and its table row.
+func batchRecord(key string, jobs, workers int, seqMS, batchMS, curateMS float64, cacheHits int64) (Record, []string) {
+	speedup := seqMS / batchMS
+	rec := Record{
+		Experiment: "batch", Key: key,
+		Metrics: map[string]float64{"sequential_ms": seqMS, "batch_ms": batchMS},
+		// curate_ms is about 1 ms, far too small to ratio-gate.
+		Details: map[string]float64{
+			"jobs": float64(jobs), "workers": float64(workers), "reps": batchReps,
+			"speedup": speedup, "curate_ms": curateMS, "cache_hits": float64(cacheHits),
+		},
+		Identical: true,
+	}
+	return rec, []string{
+		key,
+		fmt.Sprintf("%d", jobs),
+		fmt.Sprintf("%d", workers),
+		fmt.Sprintf("%.0fms", seqMS),
+		fmt.Sprintf("%.0fms", batchMS),
+		fmt.Sprintf("%.2fx", speedup),
+		fmt.Sprintf("%.0fms", curateMS),
+		fmt.Sprintf("%d", cacheHits),
+	}
 }

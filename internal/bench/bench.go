@@ -49,19 +49,9 @@ type Options struct {
 	// (default GOMAXPROCS).
 	BatchWorkers int
 	// JSONPath, when set, makes experiments with machine-readable output
-	// (currently "batch", "serve", and "regress") also write a JSON record
-	// file there.
+	// (batch, serve, route, curate, and regress) also write their []Record
+	// there (see WriteRecords).
 	JSONPath string
-	// BatchBaselinePath / ServeBaselinePath / RouteBaselinePath /
-	// CurateBaselinePath point the "regress" experiment at committed
-	// baseline files; when any is set the fresh replay is gated against it
-	// (see GateConfig).
-	BatchBaselinePath  string
-	ServeBaselinePath  string
-	RouteBaselinePath  string
-	CurateBaselinePath string
-	// Gate tunes the regression thresholds for the "regress" experiment.
-	Gate GateConfig
 	// Progress receives one line per unit of work when non-nil.
 	Progress io.Writer
 	// Tracer, when non-nil, receives structured search events from every

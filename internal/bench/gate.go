@@ -4,69 +4,36 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 )
 
-// ServeResult is the JSON shape of one "serve" experiment record: the HTTP
-// standardization service (submit over the wire, poll to completion) versus
-// direct in-process batch calls on the same jobs. The type lives here (and
-// not in serveexp, which produces it) so the regression gate can compare
-// reports against committed baselines without importing the facade.
-type ServeResult struct {
-	Dataset string `json:"dataset"`
-	Jobs    int    `json:"jobs"`
-	Workers int    `json:"workers"`
-	// Reps is how many times each arm ran; the times below are the best
-	// rep, the standard way to cut scheduler noise out of wall-clock runs.
-	Reps     int     `json:"reps"`
-	DirectMS float64 `json:"direct_ms"`
-	ServedMS float64 `json:"served_ms"`
-	// OverheadPct is (served - direct) / direct in percent.
-	OverheadPct float64 `json:"overhead_pct"`
-	// PerJobOverheadMS is the absolute service tax amortized per job.
-	PerJobOverheadMS float64 `json:"per_job_overhead_ms"`
-	// Identical reports that every served standardized script matched its
-	// direct counterpart byte for byte (the experiment fails otherwise).
+// Record is one row of machine-readable benchmark output: one key (a
+// dataset or corpus) of one experiment. Every experiment's -json output,
+// the regress report, and the committed BENCH_*.json baselines are all
+// []Record, so the gate is one loop and a new metric is new data, not new
+// gate code.
+type Record struct {
+	Experiment string `json:"experiment"`
+	Key        string `json:"key"`
+	// Metrics are wall-clock values the gate compares against the
+	// baseline as current/baseline ratios (see GateConfig).
+	Metrics map[string]float64 `json:"metrics"`
+	// Floors maps a Details name to its minimum. Floors are checked on the
+	// current record alone, so they gate even without a baseline.
+	Floors map[string]float64 `json:"floors,omitempty"`
+	// Details are recorded for reading and for Floors, never ratio-gated:
+	// counts, speedups, and values too small or signed to ratio.
+	Details map[string]float64 `json:"details,omitempty"`
+	// Identical reports that the experiment's two arms produced
+	// byte-identical outputs (the gate fails otherwise).
 	Identical bool `json:"identical"`
-}
-
-// RouteResult is the JSON shape of one "route" experiment record: the same
-// jobs submitted through lsrouter fronting multiple lsserved replicas
-// versus a single directly-addressed replica. The gap is the routing tax —
-// the extra proxy hop, id namespacing, and ring lookup per request.
-type RouteResult struct {
-	Dataset  string `json:"dataset"`
-	Jobs     int    `json:"jobs"`
-	Replicas int    `json:"replicas"`
-	Workers  int    `json:"workers"`
-	// Reps is how many times each arm ran; the times below are the best rep.
-	Reps     int     `json:"reps"`
-	ServedMS float64 `json:"served_ms"`
-	RoutedMS float64 `json:"routed_ms"`
-	// OverheadPct is (routed - served) / served in percent.
-	OverheadPct float64 `json:"overhead_pct"`
-	// PerJobOverheadMS is the absolute routing tax amortized per job.
-	PerJobOverheadMS float64 `json:"per_job_overhead_ms"`
-	// Identical reports that every routed standardized script matched its
-	// single-replica counterpart byte for byte.
-	Identical bool `json:"identical"`
-}
-
-// RegressReport is the machine-readable output of the "regress" experiment:
-// a fresh replay of the batch, serve, route, and curate experiments,
-// comparable against the committed BENCH_batch.json / BENCH_serve.json /
-// BENCH_route.json / BENCH_curate.json baselines.
-type RegressReport struct {
-	Batch  []BatchResult  `json:"batch"`
-	Serve  []ServeResult  `json:"serve"`
-	Route  []RouteResult  `json:"route,omitempty"`
-	Curate []CurateResult `json:"curate,omitempty"`
 }
 
 // GateConfig tunes the regression gate. Wall-clock comparisons across
 // machines are noisy, so the gate has two tiers: findings above the warn
 // ratio are reported but tolerated, findings above the fail ratio (or any
-// non-identical output) flunk the gate.
+// non-identical output or broken floor) flunk the gate.
 type GateConfig struct {
 	// WarnRatio flags current/baseline wall-clock ratios above it (default 1.5).
 	WarnRatio float64
@@ -91,11 +58,11 @@ const (
 	GateFail = "fail"
 )
 
-// GateFinding is one baseline comparison: a wall-clock metric of one dataset
-// in one experiment, current run vs committed baseline.
+// GateFinding is one gate check on one record: a metric ratio against the
+// baseline, a floor, or the identical-output check.
 type GateFinding struct {
-	Experiment string  `json:"experiment"` // "batch" or "serve"
-	Dataset    string  `json:"dataset"`
+	Experiment string  `json:"experiment"`
+	Key        string  `json:"key"`
 	Metric     string  `json:"metric"`
 	BaselineMS float64 `json:"baseline_ms"`
 	CurrentMS  float64 `json:"current_ms"`
@@ -104,154 +71,73 @@ type GateFinding struct {
 	Note       string  `json:"note,omitempty"`
 }
 
-func gateLevel(ratio float64, cfg GateConfig) string {
-	switch {
-	case ratio > cfg.FailRatio:
-		return GateFail
-	case ratio > cfg.WarnRatio:
-		return GateWarn
-	default:
-		return GateOK
-	}
-}
-
-func compareMS(exp, dataset, metric string, base, cur float64, cfg GateConfig) GateFinding {
-	ratio := 0.0
-	if base > 0 {
-		ratio = cur / base
-	}
-	return GateFinding{
-		Experiment: exp, Dataset: dataset, Metric: metric,
-		BaselineMS: base, CurrentMS: cur, Ratio: ratio,
-		Level: gateLevel(ratio, cfg),
-	}
-}
-
-// Gate compares a fresh regression report against the committed baselines
-// and returns one finding per (dataset, metric) pair. Datasets present in
-// only one side produce a warn-level note instead of a ratio; any
-// non-identical output in the report is an immediate fail, as is a curate
-// record whose warm or apply speedup falls through its contract floor.
-func Gate(report RegressReport, batchBase []BatchResult, serveBase []ServeResult, routeBase []RouteResult, curateBase []CurateResult, cfg GateConfig) []GateFinding {
+// Gate compares a fresh report against the committed baselines, joined
+// on (experiment, key). Every metric of a report record yields one ratio
+// finding; a metric with no baseline value warns instead. A non-identical
+// record and a detail below its floor each add a fail. Baseline records
+// absent from the report are ignored.
+func Gate(report, baseline []Record, cfg GateConfig) []GateFinding {
 	cfg = cfg.withDefaults()
+	base := make(map[[2]string]Record, len(baseline))
+	for _, b := range baseline {
+		base[[2]string{b.Experiment, b.Key}] = b
+	}
 	var findings []GateFinding
-
-	baseByName := make(map[string]BatchResult, len(batchBase))
-	for _, b := range batchBase {
-		baseByName[b.Dataset] = b
-	}
-	for _, cur := range report.Batch {
+	for _, cur := range report {
+		finding := func(metric string) GateFinding {
+			return GateFinding{Experiment: cur.Experiment, Key: cur.Key, Metric: metric}
+		}
 		if !cur.Identical {
-			findings = append(findings, GateFinding{
-				Experiment: "batch", Dataset: cur.Dataset, Metric: "identical",
-				Level: GateFail, Note: "batch output diverged from sequential",
-			})
+			f := finding("identical")
+			f.Level, f.Note = GateFail, "output diverged from the reference arm"
+			findings = append(findings, f)
 		}
-		base, ok := baseByName[cur.Dataset]
-		if !ok {
-			findings = append(findings, GateFinding{
-				Experiment: "batch", Dataset: cur.Dataset, Metric: "batch_ms",
-				CurrentMS: cur.BatchMS, Level: GateWarn, Note: "no baseline record",
-			})
-			continue
+		for _, name := range sortedKeys(cur.Floors) {
+			if v, floor := cur.Details[name], cur.Floors[name]; v < floor {
+				f := finding(name)
+				f.BaselineMS, f.CurrentMS, f.Level = floor, v, GateFail
+				f.Note = fmt.Sprintf("%.1f is below its floor %g", v, floor)
+				findings = append(findings, f)
+			}
 		}
-		findings = append(findings,
-			compareMS("batch", cur.Dataset, "sequential_ms", base.SequentialMS, cur.SequentialMS, cfg),
-			compareMS("batch", cur.Dataset, "batch_ms", base.BatchMS, cur.BatchMS, cfg))
-	}
-
-	serveByName := make(map[string]ServeResult, len(serveBase))
-	for _, s := range serveBase {
-		serveByName[s.Dataset] = s
-	}
-	for _, cur := range report.Serve {
-		if !cur.Identical {
-			findings = append(findings, GateFinding{
-				Experiment: "serve", Dataset: cur.Dataset, Metric: "identical",
-				Level: GateFail, Note: "served output diverged from direct",
-			})
+		b := base[[2]string{cur.Experiment, cur.Key}]
+		for _, name := range cur.MetricNames() {
+			f := finding(name)
+			f.CurrentMS = cur.Metrics[name]
+			baseMS, ok := b.Metrics[name]
+			if !ok {
+				f.Level, f.Note = GateWarn, "no baseline"
+				findings = append(findings, f)
+				continue
+			}
+			f.BaselineMS = baseMS
+			if baseMS > 0 {
+				f.Ratio = f.CurrentMS / baseMS
+			}
+			switch {
+			case f.Ratio > cfg.FailRatio:
+				f.Level = GateFail
+			case f.Ratio > cfg.WarnRatio:
+				f.Level = GateWarn
+			default:
+				f.Level = GateOK
+			}
+			findings = append(findings, f)
 		}
-		base, ok := serveByName[cur.Dataset]
-		if !ok {
-			findings = append(findings, GateFinding{
-				Experiment: "serve", Dataset: cur.Dataset, Metric: "served_ms",
-				CurrentMS: cur.ServedMS, Level: GateWarn, Note: "no baseline record",
-			})
-			continue
-		}
-		findings = append(findings,
-			compareMS("serve", cur.Dataset, "direct_ms", base.DirectMS, cur.DirectMS, cfg),
-			compareMS("serve", cur.Dataset, "served_ms", base.ServedMS, cur.ServedMS, cfg))
-	}
-
-	routeByName := make(map[string]RouteResult, len(routeBase))
-	for _, r := range routeBase {
-		routeByName[r.Dataset] = r
-	}
-	for _, cur := range report.Route {
-		if !cur.Identical {
-			findings = append(findings, GateFinding{
-				Experiment: "route", Dataset: cur.Dataset, Metric: "identical",
-				Level: GateFail, Note: "routed output diverged from single-replica",
-			})
-		}
-		base, ok := routeByName[cur.Dataset]
-		if !ok {
-			findings = append(findings, GateFinding{
-				Experiment: "route", Dataset: cur.Dataset, Metric: "routed_ms",
-				CurrentMS: cur.RoutedMS, Level: GateWarn, Note: "no baseline record",
-			})
-			continue
-		}
-		findings = append(findings,
-			compareMS("route", cur.Dataset, "served_ms", base.ServedMS, cur.ServedMS, cfg),
-			compareMS("route", cur.Dataset, "routed_ms", base.RoutedMS, cur.RoutedMS, cfg))
-	}
-
-	curateByName := make(map[string]CurateResult, len(curateBase))
-	for _, c := range curateBase {
-		curateByName[c.Corpus] = c
-	}
-	for _, cur := range report.Curate {
-		if !cur.Identical {
-			findings = append(findings, GateFinding{
-				Experiment: "curate", Dataset: cur.Corpus, Metric: "identical",
-				Level: GateFail, Note: "incremental apply diverged from from-scratch rebuild",
-			})
-		}
-		// The speedup floors are the registry's contract and are
-		// machine-independent ratios, so they gate even without a baseline.
-		if cur.WarmSpeedup < WarmSpeedupFloor {
-			findings = append(findings, GateFinding{
-				Experiment: "curate", Dataset: cur.Corpus, Metric: "warm_speedup",
-				BaselineMS: WarmSpeedupFloor, CurrentMS: cur.WarmSpeedup, Level: GateFail,
-				Note: fmt.Sprintf("warm load only %.1fx faster than cold curation (floor %.0fx)",
-					cur.WarmSpeedup, WarmSpeedupFloor),
-			})
-		}
-		if cur.ApplySpeedup < ApplySpeedupFloor {
-			findings = append(findings, GateFinding{
-				Experiment: "curate", Dataset: cur.Corpus, Metric: "apply_speedup",
-				BaselineMS: ApplySpeedupFloor, CurrentMS: cur.ApplySpeedup, Level: GateFail,
-				Note: fmt.Sprintf("1%%-churn apply only %.1fx faster than rebuild (floor %.0fx)",
-					cur.ApplySpeedup, ApplySpeedupFloor),
-			})
-		}
-		base, ok := curateByName[cur.Corpus]
-		if !ok {
-			findings = append(findings, GateFinding{
-				Experiment: "curate", Dataset: cur.Corpus, Metric: "warm_load_ms",
-				CurrentMS: cur.WarmLoadMS, Level: GateWarn, Note: "no baseline record",
-			})
-			continue
-		}
-		findings = append(findings,
-			compareMS("curate", cur.Corpus, "cold_curate_ms", base.ColdCurateMS, cur.ColdCurateMS, cfg),
-			compareMS("curate", cur.Corpus, "warm_load_ms", base.WarmLoadMS, cur.WarmLoadMS, cfg),
-			compareMS("curate", cur.Corpus, "full_load_ms", base.FullLoadMS, cur.FullLoadMS, cfg),
-			compareMS("curate", cur.Corpus, "apply_ms", base.ApplyMS, cur.ApplyMS, cfg))
 	}
 	return findings
+}
+
+// MetricNames returns the names of r's gated metrics, sorted.
+func (r Record) MetricNames() []string { return sortedKeys(r.Metrics) }
+
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // GateTable renders the findings as a result table.
@@ -270,7 +156,7 @@ func GateTable(findings []GateFinding) *Table {
 			level += " (" + f.Note + ")"
 		}
 		t.Rows = append(t.Rows, []string{
-			f.Experiment, f.Dataset, f.Metric,
+			f.Experiment, f.Key, f.Metric,
 			fmt.Sprintf("%.0fms", f.BaselineMS),
 			fmt.Sprintf("%.0fms", f.CurrentMS),
 			ratio, level,
@@ -299,69 +185,34 @@ func GateSummary(findings []GateFinding) (fails, warns int, line string) {
 	return fails, warns, b.String()
 }
 
-// LoadBatchBaseline reads a committed BENCH_batch.json.
-func LoadBatchBaseline(path string) ([]BatchResult, error) {
-	var out []BatchResult
-	if err := readJSON(path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadServeBaseline reads a committed BENCH_serve.json.
-func LoadServeBaseline(path string) ([]ServeResult, error) {
-	var out []ServeResult
-	if err := readJSON(path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadRouteBaseline reads a committed BENCH_route.json.
-func LoadRouteBaseline(path string) ([]RouteResult, error) {
-	var out []RouteResult
-	if err := readJSON(path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadCurateBaseline reads a committed BENCH_curate.json.
-func LoadCurateBaseline(path string) ([]CurateResult, error) {
-	var out []CurateResult
-	if err := readJSON(path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadRegressReport reads a report produced by `lsbench -exp regress -json`.
-func LoadRegressReport(path string) (RegressReport, error) {
-	var out RegressReport
-	err := readJSON(path, &out)
-	return out, err
-}
-
-func readJSON(path string, v interface{}) error {
+// LoadRecords reads a record file: an experiment's -json output, a
+// regress report, or a committed BENCH_*.json baseline.
+func LoadRecords(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("bench: parsing %s: %w", path, err)
+	var out []Record
+	if err := json.Unmarshal(data, &out); err != nil {
+		return nil, fmt.Errorf("bench: parsing %s: %w", path, err)
 	}
-	return nil
+	return out, nil
 }
 
-// writeJSON writes v indented to path, newline-terminated, matching the
-// committed baseline formatting so refreshes produce minimal diffs.
-func writeJSON(path string, v interface{}) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// WriteRecords writes records to JSONPath, indented and newline-terminated
+// like the committed baselines so a refresh is a plain copy with a minimal
+// diff. It does nothing when JSONPath is unset.
+func (o Options) WriteRecords(records []Record) error {
+	if o.JSONPath == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(records, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
+	if err := os.WriteFile(o.JSONPath, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("bench: writing %s: %w", o.JSONPath, err)
 	}
+	o.logf("%d records written to %s", len(records), o.JSONPath)
 	return nil
 }

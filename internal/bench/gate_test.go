@@ -2,42 +2,43 @@ package bench
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-func gateFixture() (RegressReport, []BatchResult, []ServeResult) {
-	report := RegressReport{
-		Batch: []BatchResult{
-			{Dataset: "a", SequentialMS: 100, BatchMS: 50, Identical: true},
-			{Dataset: "b", SequentialMS: 300, BatchMS: 160, Identical: true},
-		},
-		Serve: []ServeResult{
-			{Dataset: "a", DirectMS: 80, ServedMS: 90, Identical: true},
-		},
-	}
-	batchBase := []BatchResult{
-		{Dataset: "a", SequentialMS: 100, BatchMS: 50},
-		{Dataset: "b", SequentialMS: 100, BatchMS: 100},
-	}
-	serveBase := []ServeResult{{Dataset: "a", DirectMS: 80, ServedMS: 85}}
-	return report, batchBase, serveBase
+func rec(exp, key string, metrics map[string]float64) Record {
+	return Record{Experiment: exp, Key: key, Metrics: metrics, Identical: true}
 }
 
-func findingFor(t *testing.T, fs []GateFinding, exp, dataset, metric string) GateFinding {
+func gateFixture() (report, baseline []Record) {
+	report = []Record{
+		rec("batch", "a", map[string]float64{"sequential_ms": 100, "batch_ms": 50}),
+		rec("batch", "b", map[string]float64{"sequential_ms": 300, "batch_ms": 160}),
+		rec("serve", "a", map[string]float64{"direct_ms": 80, "served_ms": 90}),
+	}
+	baseline = []Record{
+		rec("batch", "a", map[string]float64{"sequential_ms": 100, "batch_ms": 50}),
+		rec("batch", "b", map[string]float64{"sequential_ms": 100, "batch_ms": 100}),
+		rec("serve", "a", map[string]float64{"direct_ms": 80, "served_ms": 85}),
+	}
+	return report, baseline
+}
+
+func findingFor(t *testing.T, fs []GateFinding, exp, key, metric string) GateFinding {
 	t.Helper()
 	for _, f := range fs {
-		if f.Experiment == exp && f.Dataset == dataset && f.Metric == metric {
+		if f.Experiment == exp && f.Key == key && f.Metric == metric {
 			return f
 		}
 	}
-	t.Fatalf("no finding for %s/%s %s", exp, dataset, metric)
+	t.Fatalf("no finding for %s/%s %s", exp, key, metric)
 	return GateFinding{}
 }
 
 func TestGateLevels(t *testing.T) {
-	report, batchBase, serveBase := gateFixture()
-	fs := Gate(report, batchBase, serveBase, nil, nil, GateConfig{})
+	report, baseline := gateFixture()
+	fs := Gate(report, baseline, GateConfig{})
 
 	// a: unchanged → ok.
 	if f := findingFor(t, fs, "batch", "a", "batch_ms"); f.Level != GateOK {
@@ -68,18 +69,18 @@ func TestGateLevels(t *testing.T) {
 }
 
 func TestGateNonIdenticalFails(t *testing.T) {
-	report, batchBase, serveBase := gateFixture()
-	report.Batch[0].Identical = false
-	fs := Gate(report, batchBase, serveBase, nil, nil, GateConfig{})
+	report, baseline := gateFixture()
+	report[0].Identical = false
+	fs := Gate(report, baseline, GateConfig{})
 	if f := findingFor(t, fs, "batch", "a", "identical"); f.Level != GateFail {
 		t.Fatalf("non-identical output should fail, got %+v", f)
 	}
 }
 
 func TestGateMissingBaselineWarns(t *testing.T) {
-	report, batchBase, serveBase := gateFixture()
-	report.Serve = append(report.Serve, ServeResult{Dataset: "new", ServedMS: 10, Identical: true})
-	fs := Gate(report, batchBase, serveBase, nil, nil, GateConfig{})
+	report, baseline := gateFixture()
+	report = append(report, rec("serve", "new", map[string]float64{"served_ms": 10}))
+	fs := Gate(report, baseline, GateConfig{})
 	f := findingFor(t, fs, "serve", "new", "served_ms")
 	if f.Level != GateWarn || f.Note == "" {
 		t.Fatalf("missing baseline should warn with a note, got %+v", f)
@@ -87,23 +88,26 @@ func TestGateMissingBaselineWarns(t *testing.T) {
 }
 
 func TestGateConfigThresholds(t *testing.T) {
-	report, batchBase, serveBase := gateFixture()
+	report, baseline := gateFixture()
 	// With a sky-high fail ratio nothing fails.
-	fs := Gate(report, batchBase, serveBase, nil, nil, GateConfig{WarnRatio: 10, FailRatio: 20})
-	if fails, _, _ := func() (int, int, string) { return GateSummary(fs) }(); fails != 0 {
+	fs := Gate(report, baseline, GateConfig{WarnRatio: 10, FailRatio: 20})
+	if fails, _, _ := GateSummary(fs); fails != 0 {
 		t.Fatalf("generous thresholds should not fail, got %d", fails)
 	}
 }
 
 func TestGateCurateContract(t *testing.T) {
-	report := RegressReport{Curate: []CurateResult{{
-		Corpus: "gen-10k", Scripts: 10000,
-		ColdCurateMS: 1000, WarmLoadMS: 10, FullLoadMS: 200, ApplyMS: 20, RebuildMS: 1000,
-		WarmSpeedup: 100, ApplySpeedup: 50, Identical: true,
-	}}}
-	base := []CurateResult{{Corpus: "gen-10k", ColdCurateMS: 1000, WarmLoadMS: 10, FullLoadMS: 200, ApplyMS: 20}}
+	cur := Record{
+		Experiment: "curate", Key: "gen-10k",
+		Metrics:   map[string]float64{"cold_curate_ms": 1000, "warm_load_ms": 10, "full_load_ms": 200, "apply_ms": 20},
+		Floors:    map[string]float64{"warm_speedup": WarmSpeedupFloor, "apply_speedup": ApplySpeedupFloor},
+		Details:   map[string]float64{"scripts": 10000, "rebuild_ms": 1000, "warm_speedup": 100, "apply_speedup": 50},
+		Identical: true,
+	}
+	base := []Record{rec("curate", "gen-10k",
+		map[string]float64{"cold_curate_ms": 1000, "warm_load_ms": 10, "full_load_ms": 200, "apply_ms": 20})}
 
-	fs := Gate(report, nil, nil, nil, base, GateConfig{})
+	fs := Gate([]Record{cur}, base, GateConfig{})
 	if fails, _, _ := GateSummary(fs); fails != 0 {
 		t.Fatalf("healthy curate record should pass, got %d fails: %+v", fails, fs)
 	}
@@ -112,58 +116,68 @@ func TestGateCurateContract(t *testing.T) {
 	}
 
 	// Collapsed speedups and a divergent apply fail regardless of wall clock.
-	report.Curate[0].WarmSpeedup = 2
-	report.Curate[0].ApplySpeedup = 3
-	report.Curate[0].Identical = false
-	fs = Gate(report, nil, nil, nil, base, GateConfig{})
+	broken := cur
+	broken.Details = map[string]float64{"warm_speedup": 2, "apply_speedup": 3}
+	broken.Identical = false
+	fs = Gate([]Record{broken}, base, GateConfig{})
 	for _, metric := range []string{"warm_speedup", "apply_speedup", "identical"} {
 		if f := findingFor(t, fs, "curate", "gen-10k", metric); f.Level != GateFail {
 			t.Fatalf("%s should fail, got %+v", metric, f)
 		}
 	}
 
-	// A corpus with no baseline record warns instead of comparing.
-	report.Curate[0].WarmSpeedup = 100
-	report.Curate[0].ApplySpeedup = 50
-	report.Curate[0].Identical = true
-	fs = Gate(report, nil, nil, nil, nil, GateConfig{})
+	// A corpus with no baseline record warns instead of comparing, and
+	// its floors still gate.
+	fs = Gate([]Record{broken}, nil, GateConfig{})
 	if f := findingFor(t, fs, "curate", "gen-10k", "warm_load_ms"); f.Level != GateWarn || f.Note == "" {
 		t.Fatalf("missing curate baseline should warn with a note, got %+v", f)
+	}
+	if f := findingFor(t, fs, "curate", "gen-10k", "apply_speedup"); f.Level != GateFail {
+		t.Fatalf("floor should gate without a baseline, got %+v", f)
+	}
+}
+
+// TestGateNewMetricIsData shows that gating a new number needs no gate
+// code: a metric name the gate has never seen is ratio-gated once it is in
+// Metrics, and a floor is enforced once it is in Floors.
+func TestGateNewMetricIsData(t *testing.T) {
+	cur := Record{
+		Experiment: "ledger", Key: "Sales",
+		Metrics:   map[string]float64{"hash_ms": 40},
+		Floors:    map[string]float64{"hash_hit_ratio": 0.9},
+		Details:   map[string]float64{"hash_hit_ratio": 0.5, "signed_delta_ms": -3},
+		Identical: true,
+	}
+	base := []Record{rec("ledger", "Sales", map[string]float64{"hash_ms": 10})}
+	fs := Gate([]Record{cur}, base, GateConfig{WarnRatio: 1.5, FailRatio: 3})
+	if f := findingFor(t, fs, "ledger", "Sales", "hash_ms"); f.Level != GateFail || f.Ratio != 4 {
+		t.Fatalf("new metric should be ratio-gated at 4x, got %+v", f)
+	}
+	if f := findingFor(t, fs, "ledger", "Sales", "hash_hit_ratio"); f.Level != GateFail {
+		t.Fatalf("new floor should fail, got %+v", f)
+	}
+	if len(fs) != 2 {
+		t.Fatalf("details must never be ratio-gated, got %d findings: %+v", len(fs), fs)
 	}
 }
 
 func TestBaselineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	report, batchBase, serveBase := gateFixture()
+	report, baseline := gateFixture()
+	report[0].Floors = map[string]float64{"speedup": 1}
+	report[0].Details = map[string]float64{"speedup": 2, "per_job_overhead_ms": -0.5}
 
-	bp := filepath.Join(dir, "batch.json")
-	if err := writeJSON(bp, batchBase); err != nil {
-		t.Fatal(err)
+	for name, recs := range map[string][]Record{"baseline.json": baseline, "report.json": report} {
+		path := filepath.Join(dir, name)
+		if err := (Options{JSONPath: path}).WriteRecords(recs); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadRecords(path)
+		if err != nil || !reflect.DeepEqual(got, recs) {
+			t.Fatalf("%s round trip: %v\n got %+v\nwant %+v", name, err, got, recs)
+		}
 	}
-	gotB, err := LoadBatchBaseline(bp)
-	if err != nil || len(gotB) != len(batchBase) || gotB[0] != batchBase[0] {
-		t.Fatalf("batch round trip: %v %+v", err, gotB)
-	}
-
-	sp := filepath.Join(dir, "serve.json")
-	if err := writeJSON(sp, serveBase); err != nil {
-		t.Fatal(err)
-	}
-	gotS, err := LoadServeBaseline(sp)
-	if err != nil || len(gotS) != len(serveBase) || gotS[0] != serveBase[0] {
-		t.Fatalf("serve round trip: %v %+v", err, gotS)
-	}
-
-	rp := filepath.Join(dir, "report.json")
-	if err := writeJSON(rp, report); err != nil {
-		t.Fatal(err)
-	}
-	gotR, err := LoadRegressReport(rp)
-	if err != nil || len(gotR.Batch) != 2 || len(gotR.Serve) != 1 {
-		t.Fatalf("report round trip: %v %+v", err, gotR)
-	}
-
-	if _, err := LoadRegressReport(filepath.Join(dir, "nope.json")); err == nil {
+	if _, err := LoadRecords(filepath.Join(dir, "nope.json")); err == nil {
 		t.Fatal("missing file should error")
 	}
 }

@@ -17,7 +17,10 @@ type Experiment struct {
 	Run func(Options) (*Table, error)
 }
 
-// Experiments returns the registry of all reproductions, in paper order.
+// Experiments returns this package's reproductions, in paper order. The
+// serve, route, and regress experiments need the facade, which this package
+// cannot import (the root package's tests import bench), so they live in
+// internal/bench/serveexp; commands list both registries.
 func Experiments() []Experiment {
 	return []Experiment{
 		{ID: "table2", Paper: "Table 2", Description: "parameter defaults by corpus properties", Run: Table2},
@@ -32,22 +35,17 @@ func Experiments() []Experiment {
 		{ID: "fig9", Paper: "Figure 9", Description: "target-leakage detection", Run: Fig9},
 		{ID: "ablate", Paper: "(extra)", Description: "framework-component ablation (DESIGN.md)", Run: Ablate},
 		{ID: "batch", Paper: "(extra)", Description: "concurrent batch engine vs sequential standardization", Run: Batch},
-		{ID: "serve", Paper: "(extra)", Description: "HTTP standardization service vs direct library calls", Run: Serve},
-		{ID: "route", Paper: "(extra)", Description: "lsrouter-fronted cluster vs a single directly-addressed replica", Run: Route},
 		{ID: "curate", Paper: "(extra)", Description: "corpus-registry lifecycle: cold curation vs warm load vs incremental apply", Run: Curate},
-		{ID: "regress", Paper: "(extra)", Description: "perf-regression replay of batch+serve+route vs committed baselines", Run: Regress},
 	}
 }
 
-// Lookup finds an experiment by ID.
-func Lookup(id string) (Experiment, error) {
-	for _, e := range Experiments() {
+// Lookup finds an experiment by ID in exps.
+func Lookup(exps []Experiment, id string) (Experiment, error) {
+	var ids []string
+	for _, e := range exps {
 		if e.ID == id {
 			return e, nil
 		}
-	}
-	var ids []string
-	for _, e := range Experiments() {
 		ids = append(ids, e.ID)
 	}
 	sort.Strings(ids)

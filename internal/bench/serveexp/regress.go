@@ -1,128 +1,48 @@
 package serveexp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strings"
 
 	"lucidscript/internal/bench"
 )
 
-// Regress replays the batch and serve experiments back to back on the
-// current build, emits the combined machine-readable RegressReport
-// (Options.JSONPath), and — when baseline paths are set — gates the fresh
-// wall-clock numbers against the committed BENCH_batch.json /
-// BENCH_serve.json. Ratios above GateConfig.WarnRatio are reported, ratios
-// above FailRatio (or any non-identical output) fail the run. It lives here
-// rather than in bench because the serve leg needs the facade; cmd/lsbench
-// wires it in via bench.RegressRunner.
+// Regress replays the batch, serve, route, and curate (10k corpus only)
+// experiments back to back on the current build and writes the combined
+// []bench.Record report to Options.JSONPath. cmd/benchgate gates that
+// report against the committed BENCH_*.json baselines.
 func Regress(opts bench.Options) (*bench.Table, error) {
-	opts.Logf("regress: replaying batch experiment")
-	batchRecs, _, err := bench.BatchRecords(opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: regress batch leg: %w", err)
+	legs := []struct {
+		name string
+		run  func(bench.Options) ([]bench.Record, *bench.Table, error)
+	}{
+		{"batch", bench.BatchRecords},
+		{"serve", serveRecords},
+		{"route", routeRecords},
+		{"curate (10k corpus only)", func(o bench.Options) ([]bench.Record, *bench.Table, error) {
+			return bench.CurateRecords(o, []int{10_000})
+		}},
 	}
-	opts.Logf("regress: replaying serve experiment")
-	serveRecs, _, err := serveRecords(opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: regress serve leg: %w", err)
-	}
-	opts.Logf("regress: replaying route experiment")
-	routeRecs, _, err := routeRecords(opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: regress route leg: %w", err)
-	}
-	opts.Logf("regress: replaying curate experiment (10k corpus only)")
-	curateRecs, _, err := bench.CurateRecords(opts, []int{10_000})
-	if err != nil {
-		return nil, fmt.Errorf("bench: regress curate leg: %w", err)
-	}
-	report := bench.RegressReport{Batch: batchRecs, Serve: serveRecs, Route: routeRecs, Curate: curateRecs}
-
-	if opts.JSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
+	var report []bench.Record
+	for _, leg := range legs {
+		opts.Logf("regress: replaying %s experiment", leg.name)
+		recs, _, err := leg.run(opts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bench: regress %s leg: %w", leg.name, err)
 		}
-		if err := os.WriteFile(opts.JSONPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("bench: writing %s: %w", opts.JSONPath, err)
-		}
-		opts.Logf("regress report written to %s", opts.JSONPath)
+		report = append(report, recs...)
+	}
+	if err := opts.WriteRecords(report); err != nil {
+		return nil, err
 	}
 
-	if opts.BatchBaselinePath == "" && opts.ServeBaselinePath == "" &&
-		opts.RouteBaselinePath == "" && opts.CurateBaselinePath == "" {
-		return replayTable(report), nil
-	}
-
-	var batchBase []bench.BatchResult
-	if opts.BatchBaselinePath != "" {
-		if batchBase, err = bench.LoadBatchBaseline(opts.BatchBaselinePath); err != nil {
-			return nil, err
-		}
-	}
-	var serveBase []bench.ServeResult
-	if opts.ServeBaselinePath != "" {
-		if serveBase, err = bench.LoadServeBaseline(opts.ServeBaselinePath); err != nil {
-			return nil, err
-		}
-	}
-	var routeBase []bench.RouteResult
-	if opts.RouteBaselinePath != "" {
-		if routeBase, err = bench.LoadRouteBaseline(opts.RouteBaselinePath); err != nil {
-			return nil, err
-		}
-	}
-	var curateBase []bench.CurateResult
-	if opts.CurateBaselinePath != "" {
-		if curateBase, err = bench.LoadCurateBaseline(opts.CurateBaselinePath); err != nil {
-			return nil, err
-		}
-	}
-	findings := bench.Gate(report, batchBase, serveBase, routeBase, curateBase, opts.Gate)
-	fails, _, line := bench.GateSummary(findings)
-	opts.Logf("%s", line)
-	if fails > 0 {
-		var failed []string
-		for _, f := range findings {
-			if f.Level == bench.GateFail {
-				failed = append(failed, fmt.Sprintf("%s/%s %s %.0fms vs baseline %.0fms (%.2fx)",
-					f.Experiment, f.Dataset, f.Metric, f.CurrentMS, f.BaselineMS, f.Ratio))
-			}
-		}
-		return nil, fmt.Errorf("bench: perf regression: %s", strings.Join(failed, "; "))
-	}
-	return bench.GateTable(findings), nil
-}
-
-// replayTable summarizes a report when no baselines were supplied: one row
-// per wall-clock metric, the same numbers the JSON report carries.
-func replayTable(report bench.RegressReport) *bench.Table {
 	t := &bench.Table{
-		Title:  "Regress replay (no baselines supplied; wall-clock per dataset)",
+		Title:  "Regress replay (wall-clock per dataset; gate with benchgate)",
 		Header: []string{"experiment", "dataset", "metric", "ms"},
 	}
-	for _, b := range report.Batch {
-		t.Rows = append(t.Rows,
-			[]string{"batch", b.Dataset, "sequential_ms", fmt.Sprintf("%.0f", b.SequentialMS)},
-			[]string{"batch", b.Dataset, "batch_ms", fmt.Sprintf("%.0f", b.BatchMS)})
+	for _, r := range report {
+		for _, m := range r.MetricNames() {
+			t.Rows = append(t.Rows, []string{r.Experiment, r.Key, m, fmt.Sprintf("%.0f", r.Metrics[m])})
+		}
 	}
-	for _, s := range report.Serve {
-		t.Rows = append(t.Rows,
-			[]string{"serve", s.Dataset, "direct_ms", fmt.Sprintf("%.0f", s.DirectMS)},
-			[]string{"serve", s.Dataset, "served_ms", fmt.Sprintf("%.0f", s.ServedMS)})
-	}
-	for _, r := range report.Route {
-		t.Rows = append(t.Rows,
-			[]string{"route", r.Dataset, "served_ms", fmt.Sprintf("%.0f", r.ServedMS)},
-			[]string{"route", r.Dataset, "routed_ms", fmt.Sprintf("%.0f", r.RoutedMS)})
-	}
-	for _, c := range report.Curate {
-		t.Rows = append(t.Rows,
-			[]string{"curate", c.Corpus, "cold_curate_ms", fmt.Sprintf("%.0f", c.ColdCurateMS)},
-			[]string{"curate", c.Corpus, "warm_load_ms", fmt.Sprintf("%.0f", c.WarmLoadMS)},
-			[]string{"curate", c.Corpus, "apply_ms", fmt.Sprintf("%.0f", c.ApplyMS)})
-	}
-	return t
+	return t, nil
 }

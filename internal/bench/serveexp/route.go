@@ -2,11 +2,8 @@ package serveexp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"time"
 
 	"lucidscript"
@@ -31,47 +28,25 @@ func Route(opts bench.Options) (*bench.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.JSONPath != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opts.JSONPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("bench: writing %s: %w", opts.JSONPath, err)
-		}
-		opts.Logf("route results written to %s", opts.JSONPath)
-	}
-	return table, nil
+	return table, opts.WriteRecords(records)
 }
 
 // routeRecords runs the route experiment and returns the per-dataset
 // records alongside the rendered table, without touching Options.JSONPath.
-func routeRecords(opts bench.Options) ([]bench.RouteResult, *bench.Table, error) {
-	opts = opts.WithDefaults()
-	workers := opts.BatchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func routeRecords(opts bench.Options) ([]bench.Record, *bench.Table, error) {
+	opts, workers := setup(opts)
 	table := &bench.Table{
 		Title:  fmt.Sprintf("lsrouter-fronted cluster (%d replicas) vs a single directly-addressed replica", routeReplicas),
 		Header: []string{"dataset", "jobs", "replicas", "served", "routed", "overhead", "per-job"},
 	}
-	var records []bench.RouteResult
+	var records []bench.Record
 	for _, name := range opts.Datasets {
 		gen, err := opts.GenerateDataset(name)
 		if err != nil {
 			return nil, nil, err
 		}
 		jobs := gen.Sample(opts.ScriptsPerDataset, opts.Seed+17)
-		lsOpts := lucidscript.Options{
-			Seed:             opts.Seed,
-			SeqLength:        opts.SeqLength,
-			BeamSize:         opts.BeamSize,
-			Measure:          lucidscript.IntentMeasure("jaccard"),
-			Tau:              0.8,
-			DisableExecCache: opts.DisableExecCache,
-			BatchWorkers:     workers,
-		}
+		lsOpts := systemOptions(opts, workers)
 		newServer := func() (*serve.Server, *httptest.Server, error) {
 			sys, err := lucidscript.NewSystem(gen.ScriptsOnly(), gen.Sources, lsOpts)
 			if err != nil {
@@ -119,57 +94,25 @@ func routeRecords(opts bench.Options) ([]bench.RouteResult, *bench.Table, error)
 		routerHS := httptest.NewServer(rt.Handler())
 		routedClient := serve.NewClient(routerHS.URL, routerHS.Client())
 
-		runArm := func(client *serve.Client, out []string) (time.Duration, error) {
-			runtime.GC()
-			start := time.Now()
-			ids := make([]string, len(jobs))
-			for i, su := range jobs {
-				st, err := client.Submit(ctx, name, su.Source(), nil)
-				if err != nil {
-					return 0, fmt.Errorf("bench: %s submit %d: %w", name, i, err)
-				}
-				ids[i] = st.ID
-			}
-			for i, id := range ids {
-				st, err := client.Wait(ctx, id, 2*time.Millisecond)
-				if err != nil {
-					return 0, fmt.Errorf("bench: %s wait %d: %w", name, i, err)
-				}
-				if st.State != serve.StateDone {
-					return 0, fmt.Errorf("bench: %s job %d: state %s (%s)", name, i, st.State, st.Error)
-				}
-				out[i] = st.Result.Script
-			}
-			return time.Since(start), nil
-		}
-
 		// Interleaved reps, best per arm — same protocol as the serve
 		// experiment, so the two overhead numbers compose.
-		const reps = 3
 		var servedDur, routedDur time.Duration
 		servedOut := make([]string, len(jobs))
 		routedOut := make([]string, len(jobs))
 		for r := 0; r < reps; r++ {
-			d, err := runArm(directClient, servedOut)
+			d, err := runServed(ctx, directClient, name, jobs, servedOut)
 			if err != nil {
 				return nil, nil, err
 			}
 			if r == 0 || d < servedDur {
 				servedDur = d
 			}
-			d, err = runArm(routedClient, routedOut)
+			d, err = runServed(ctx, routedClient, name, jobs, routedOut)
 			if err != nil {
 				return nil, nil, err
 			}
 			if r == 0 || d < routedDur {
 				routedDur = d
-			}
-		}
-		identical := true
-		for i := range servedOut {
-			if servedOut[i] != routedOut[i] {
-				identical = false
-				break
 			}
 		}
 
@@ -184,34 +127,18 @@ func routeRecords(opts bench.Options) ([]bench.RouteResult, *bench.Table, error)
 				return nil, nil, fmt.Errorf("bench: %s replica shutdown: %w", name, err)
 			}
 		}
-		if !identical {
-			return nil, nil, fmt.Errorf("bench: %s routed output diverges from single-replica", name)
+		if err := sameOutputs(name, servedOut, routedOut); err != nil {
+			return nil, nil, err
 		}
 
-		rec := bench.RouteResult{
-			Dataset:          name,
-			Jobs:             len(jobs),
-			Replicas:         routeReplicas,
-			Workers:          workers,
-			Reps:             reps,
-			ServedMS:         float64(servedDur.Microseconds()) / 1e3,
-			RoutedMS:         float64(routedDur.Microseconds()) / 1e3,
-			OverheadPct:      100 * (float64(routedDur) - float64(servedDur)) / float64(servedDur),
-			PerJobOverheadMS: float64((routedDur - servedDur).Microseconds()) / 1e3 / float64(len(jobs)),
-			Identical:        identical,
-		}
+		rec, row := overheadRecord("route", name, len(jobs), routeReplicas,
+			"served_ms", servedDur, "routed_ms", routedDur)
+		rec.Details["replicas"] = routeReplicas
+		rec.Details["workers"] = float64(workers)
 		records = append(records, rec)
-		table.Rows = append(table.Rows, []string{
-			name,
-			fmt.Sprintf("%d", rec.Jobs),
-			fmt.Sprintf("%d", rec.Replicas),
-			fmt.Sprintf("%.0fms", rec.ServedMS),
-			fmt.Sprintf("%.0fms", rec.RoutedMS),
-			fmt.Sprintf("%.1f%%", rec.OverheadPct),
-			fmt.Sprintf("%.2fms", rec.PerJobOverheadMS),
-		})
-		opts.Logf("%s: %d jobs, served %s vs routed %s (+%.1f%%)",
-			name, rec.Jobs, servedDur.Round(time.Millisecond), routedDur.Round(time.Millisecond), rec.OverheadPct)
+		table.Rows = append(table.Rows, row)
+		opts.Logf("%s: %d jobs, served %s vs routed %s (+%.1f%%)", name, len(jobs),
+			servedDur.Round(time.Millisecond), routedDur.Round(time.Millisecond), rec.Details["overhead_pct"])
 	}
 	return records, table, nil
 }

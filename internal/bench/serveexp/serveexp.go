@@ -1,14 +1,15 @@
-// Package serveexp implements the "serve" benchmark experiment: the HTTP
-// standardization service versus direct in-process batch calls on the same
-// jobs. It lives outside internal/bench because it needs the facade package
-// (lucidscript) and internal/serve, and bench itself is imported by the
-// root package's tests — importing the facade from bench would be an import
-// cycle. cmd/lsbench wires it in via bench.ServeRunner.
+// Package serveexp implements the benchmark experiments that drive the
+// HTTP service: "serve" (the service versus direct in-process batch calls
+// on the same jobs), "route" (lsrouter in front of replicas versus one
+// replica), and "regress" (the replay the perf gate reads). It lives
+// outside internal/bench because it needs the facade package (lucidscript)
+// and internal/serve, and bench itself is imported by the root package's
+// tests — importing the facade from bench would be an import cycle.
+// cmd/lsbench lists these next to bench.Experiments.
 package serveexp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -20,68 +21,47 @@ import (
 	"lucidscript/internal/serve"
 )
 
-// Result is the JSON shape written next to the experiment's table: one
-// record per dataset comparing the HTTP standardization service (submit
-// over the wire, poll to completion) against direct in-process batch calls
-// on the same jobs. The gap between the two is the full service tax — JSON
-// marshalling, HTTP round trips, queue admission, and status polling. The
-// struct itself lives in bench (as ServeResult) so the regression gate can
-// compare reports without importing this package.
-type Result = bench.ServeResult
+// Experiments returns this package's experiments; regress comes last so
+// `lsbench -exp all` ends with the replay.
+func Experiments() []bench.Experiment {
+	return []bench.Experiment{
+		{ID: "serve", Paper: "(extra)", Description: "HTTP standardization service vs direct library calls", Run: Serve},
+		{ID: "route", Paper: "(extra)", Description: "lsrouter-fronted cluster vs a single directly-addressed replica", Run: Route},
+		{ID: "regress", Paper: "(extra)", Description: "perf-regression replay of batch+serve+route+curate (gate it with benchgate)", Run: Regress},
+	}
+}
 
-// Run measures what serving standardization over HTTP costs relative to
+// Serve measures what serving standardization over HTTP costs relative to
 // calling the library directly. Each arm gets its own identically-built
 // System with a long-lived job queue — curation paid outside the timed
 // region and the execution-prefix cache persistent across reps, mirroring a
 // long-lived deployment on both sides — so the comparison isolates the
-// transport, marshalling, and polling overhead, not the search or cache
-// warmth.
-func Run(opts bench.Options) (*bench.Table, error) {
+// transport, marshalling, and polling overhead (JSON, HTTP round trips,
+// queue admission, status polling), not the search or cache warmth.
+func Serve(opts bench.Options) (*bench.Table, error) {
 	records, table, err := serveRecords(opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.JSONPath != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opts.JSONPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("bench: writing %s: %w", opts.JSONPath, err)
-		}
-		opts.Logf("serve results written to %s", opts.JSONPath)
-	}
-	return table, nil
+	return table, opts.WriteRecords(records)
 }
 
 // serveRecords runs the serve experiment and returns the per-dataset
 // records alongside the rendered table, without touching Options.JSONPath.
-func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
-	opts = opts.WithDefaults()
-	workers := opts.BatchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func serveRecords(opts bench.Options) ([]bench.Record, *bench.Table, error) {
+	opts, workers := setup(opts)
 	table := &bench.Table{
 		Title:  "HTTP service vs direct library calls (same jobs, one long-lived curated System per arm)",
 		Header: []string{"dataset", "jobs", "workers", "direct", "served", "overhead", "per-job"},
 	}
-	var records []Result
+	var records []bench.Record
 	for _, name := range opts.Datasets {
 		gen, err := opts.GenerateDataset(name)
 		if err != nil {
 			return nil, nil, err
 		}
 		jobs := gen.Sample(opts.ScriptsPerDataset, opts.Seed+17)
-		lsOpts := lucidscript.Options{
-			Seed:             opts.Seed,
-			SeqLength:        opts.SeqLength,
-			BeamSize:         opts.BeamSize,
-			Measure:          lucidscript.IntentMeasure("jaccard"),
-			Tau:              0.8,
-			DisableExecCache: opts.DisableExecCache,
-			BatchWorkers:     workers,
-		}
+		lsOpts := systemOptions(opts, workers)
 		sysDirect, err := lucidscript.NewSystem(gen.ScriptsOnly(), gen.Sources, lsOpts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: %s: %w", name, err)
@@ -112,9 +92,9 @@ func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
 		// The arms run interleaved (direct rep, then served rep) so machine
 		// drift hits both equally, and the best rep per arm is recorded so
 		// one scheduler hiccup does not decide the comparison.
-		const reps = 3
 		var directDur, servedDur time.Duration
 		directOut := make([]string, len(jobs))
+		servedOut := make([]string, len(jobs))
 		for r := 0; r < reps; r++ {
 			runtime.GC()
 			directStart := time.Now()
@@ -137,30 +117,15 @@ func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
 				directDur = d
 			}
 
-			runtime.GC()
-			servedStart := time.Now()
-			ids := make([]string, len(jobs))
-			for i, su := range jobs {
-				st, err := client.Submit(ctx, name, su.Source(), nil)
-				if err != nil {
-					return nil, nil, fmt.Errorf("bench: %s served submit %d: %w", name, i, err)
-				}
-				ids[i] = st.ID
+			d, err := runServed(ctx, client, name, jobs, servedOut)
+			if err != nil {
+				return nil, nil, err
 			}
-			for i, id := range ids {
-				st, err := client.Wait(ctx, id, 2*time.Millisecond)
-				if err != nil {
-					return nil, nil, fmt.Errorf("bench: %s served wait %d: %w", name, i, err)
-				}
-				if st.State != serve.StateDone {
-					return nil, nil, fmt.Errorf("bench: %s served job %d: state %s (%s)", name, i, st.State, st.Error)
-				}
-				if st.Result.Script != directOut[i] {
-					return nil, nil, fmt.Errorf("bench: %s served output diverges from direct for job %d", name, i)
-				}
-			}
-			if d := time.Since(servedStart); r == 0 || d < servedDur {
+			if r == 0 || d < servedDur {
 				servedDur = d
+			}
+			if err := sameOutputs(name, directOut, servedOut); err != nil {
+				return nil, nil, err
 			}
 		}
 		hs.Close()
@@ -171,29 +136,107 @@ func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
 			return nil, nil, fmt.Errorf("bench: %s shutdown: %w", name, err)
 		}
 
-		rec := Result{
-			Dataset:          name,
-			Jobs:             len(jobs),
-			Workers:          workers,
-			Reps:             reps,
-			DirectMS:         float64(directDur.Microseconds()) / 1e3,
-			ServedMS:         float64(servedDur.Microseconds()) / 1e3,
-			OverheadPct:      100 * (float64(servedDur) - float64(directDur)) / float64(directDur),
-			PerJobOverheadMS: float64((servedDur - directDur).Microseconds()) / 1e3 / float64(len(jobs)),
-			Identical:        true,
-		}
+		rec, row := overheadRecord("serve", name, len(jobs), workers,
+			"direct_ms", directDur, "served_ms", servedDur)
+		rec.Details["workers"] = float64(workers)
 		records = append(records, rec)
-		table.Rows = append(table.Rows, []string{
-			name,
-			fmt.Sprintf("%d", rec.Jobs),
-			fmt.Sprintf("%d", rec.Workers),
-			fmt.Sprintf("%.0fms", rec.DirectMS),
-			fmt.Sprintf("%.0fms", rec.ServedMS),
-			fmt.Sprintf("%.1f%%", rec.OverheadPct),
-			fmt.Sprintf("%.2fms", rec.PerJobOverheadMS),
-		})
-		opts.Logf("%s: %d jobs, direct %s vs served %s (+%.1f%%)",
-			name, rec.Jobs, directDur.Round(time.Millisecond), servedDur.Round(time.Millisecond), rec.OverheadPct)
+		table.Rows = append(table.Rows, row)
+		opts.Logf("%s: %d jobs, direct %s vs served %s (+%.1f%%)", name, len(jobs),
+			directDur.Round(time.Millisecond), servedDur.Round(time.Millisecond), rec.Details["overhead_pct"])
 	}
 	return records, table, nil
 }
+
+// reps is how many times each arm of the serve and route experiments runs;
+// the best rep is recorded.
+const reps = 3
+
+// setup fills in the option defaults and resolves the worker count both
+// service experiments run with.
+func setup(opts bench.Options) (bench.Options, int) {
+	opts = opts.WithDefaults()
+	workers := opts.BatchWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return opts, workers
+}
+
+// systemOptions is the facade configuration of every System the service
+// experiments build.
+func systemOptions(opts bench.Options, workers int) lucidscript.Options {
+	return lucidscript.Options{
+		Seed:             opts.Seed,
+		SeqLength:        opts.SeqLength,
+		BeamSize:         opts.BeamSize,
+		Measure:          lucidscript.IntentMeasure("jaccard"),
+		Tau:              0.8,
+		DisableExecCache: opts.DisableExecCache,
+		BatchWorkers:     workers,
+	}
+}
+
+// runServed submits every job through client, waits for all of them, and
+// stores each standardized script in out. It returns the wall clock of the
+// whole round, collecting garbage before the clock starts.
+func runServed(ctx context.Context, client *serve.Client, dataset string, jobs []*lucidscript.Script, out []string) (time.Duration, error) {
+	runtime.GC()
+	start := time.Now()
+	ids := make([]string, len(jobs))
+	for i, su := range jobs {
+		st, err := client.Submit(ctx, dataset, su.Source(), nil)
+		if err != nil {
+			return 0, fmt.Errorf("bench: %s submit %d: %w", dataset, i, err)
+		}
+		ids[i] = st.ID
+	}
+	for i, id := range ids {
+		st, err := client.Wait(ctx, id, 2*time.Millisecond)
+		if err != nil {
+			return 0, fmt.Errorf("bench: %s wait %d: %w", dataset, i, err)
+		}
+		if st.State != serve.StateDone {
+			return 0, fmt.Errorf("bench: %s job %d: state %s (%s)", dataset, i, st.State, st.Error)
+		}
+		out[i] = st.Result.Script
+	}
+	return time.Since(start), nil
+}
+
+// sameOutputs fails unless both arms standardized every job identically.
+func sameOutputs(dataset string, want, got []string) error {
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("bench: %s output of job %d diverges between the arms", dataset, i)
+		}
+	}
+	return nil
+}
+
+// overheadRecord builds one dataset's record and table row: the reference
+// arm against the measured arm, whose extra wall clock is the overhead.
+// column is the table's third column (workers or replicas).
+func overheadRecord(exp, key string, jobs, column int, refMetric string, ref time.Duration, metric string, measured time.Duration) (bench.Record, []string) {
+	rec := bench.Record{
+		Experiment: exp, Key: key,
+		Metrics: map[string]float64{refMetric: ms(ref), metric: ms(measured)},
+		// per_job_overhead_ms can be negative, so it is never ratio-gated.
+		Details: map[string]float64{
+			"jobs": float64(jobs), "reps": reps,
+			"overhead_pct":        100 * (float64(measured) - float64(ref)) / float64(ref),
+			"per_job_overhead_ms": ms(measured-ref) / float64(jobs),
+		},
+		Identical: true,
+	}
+	return rec, []string{
+		key,
+		fmt.Sprintf("%d", jobs),
+		fmt.Sprintf("%d", column),
+		fmt.Sprintf("%.0fms", ms(ref)),
+		fmt.Sprintf("%.0fms", ms(measured)),
+		fmt.Sprintf("%.1f%%", rec.Details["overhead_pct"]),
+		fmt.Sprintf("%.2fms", rec.Details["per_job_overhead_ms"]),
+	}
+}
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }

@@ -115,12 +115,22 @@ func AutoConfig(numScripts, uniqueEdges int) (seq, beam int) {
 	return seq, beam
 }
 
-// Timings is the per-phase runtime breakdown reported in Figure 7.
+// Timings is the per-phase wall-clock breakdown of one standardization,
+// the paper's Figure 7 decomposition. In parallel searches the per-phase
+// entries accumulate CPU time across workers, so their sum can exceed
+// Total.
 type Timings struct {
+	// CurateSearchSpace is the offline corpus-curation time (paid once per
+	// System and reported on every Result).
 	CurateSearchSpace time.Duration
-	GetSteps          time.Duration
-	GetTopKBeams      time.Duration
-	CheckIfExecutes   time.Duration
+	// GetSteps ranks candidate transformations.
+	GetSteps time.Duration
+	// GetTopKBeams extends and selects beams.
+	GetTopKBeams time.Duration
+	// CheckIfExecutes verifies the execution constraint.
+	CheckIfExecutes time.Duration
+	// VerifyConstraints verifies the user-intent constraint.
 	VerifyConstraints time.Duration
-	Total             time.Duration
+	// Total is the end-to-end wall clock of the call.
+	Total time.Duration
 }

@@ -64,8 +64,17 @@ type QueuedJob struct {
 // queued job.
 func (j *QueuedJob) ID() int64 { return j.id }
 
-// State reports where the job is in its lifecycle.
-func (j *QueuedJob) State() JobState { return JobState(j.state.Load()) }
+// State reports where the job is in its lifecycle. It reads JobDone as
+// soon as Done is closed: finish closes done before it stores JobDone, so a
+// caller returning from Wait could otherwise still read JobRunning.
+func (j *QueuedJob) State() JobState {
+	select {
+	case <-j.done:
+		return JobDone
+	default:
+		return JobState(j.state.Load())
+	}
+}
 
 // Done is closed when the job finishes — successfully, with an error, or
 // by cancellation.

@@ -57,6 +57,11 @@ type trieNode struct {
 	env      *Env
 	err      error
 	lastUsed int64
+	// detached marks a node that is no longer reachable from the root:
+	// evicted, or created under an evicted node by a run that still held
+	// it. Nothing is ever inserted under a detached node, so the node
+	// count only ever covers the reachable trie.
+	detached bool
 }
 
 // SessionCache executes scripts statement-by-statement through a trie of
@@ -214,6 +219,13 @@ func (c *SessionCache) step(node *trieNode, line int, st script.Stmt) (*trieNode
 	c.mu.Lock()
 	c.stats.ExecTime += elapsed
 	c.clock++
+	if node.detached {
+		// The parent was evicted while this statement ran outside the
+		// lock: hand the executed child back uncached, so the run can go
+		// on without growing an unreachable subtree.
+		c.mu.Unlock()
+		return &trieNode{key: key, env: env, err: execErr, detached: true}, delta, execErr
+	}
 	if child, ok := node.children[key]; ok {
 		// Lost the race; keep the first-inserted node.
 		child.lastUsed = c.clock
@@ -295,6 +307,7 @@ func (c *SessionCache) evictLocked() {
 				break
 			}
 			delete(v.parent.children, v.key)
+			v.detached = true
 			c.nodes--
 			c.stats.Evictions++
 		}

@@ -259,7 +259,7 @@ func writeCorpus(t *testing.T, corpusDir, dataCSV string) {
 	}
 }
 
-// startLsserved launches the server and blocks until /healthz answers.
+// startLsserved launches the server and blocks until /readyz answers.
 func startLsserved(t *testing.T, bin string, args []string, base string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -273,15 +273,17 @@ func startLsserved(t *testing.T, bin string, args []string, base string) *exec.C
 			cmd.Wait()
 		}
 	})
+	// /healthz answers 200 while the server is still booting (liveness);
+	// /readyz is the probe that means "ready to serve".
 	client := NewClient(base, nil)
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, err := client.Healthz(context.Background()); err == nil {
+		if err := client.Readyz(context.Background()); err == nil {
 			return cmd
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatal("lsserved did not become healthy in 30s")
+	t.Fatal("lsserved did not become ready in 30s")
 	return nil
 }
 

@@ -332,7 +332,7 @@ func (o Options) constraint() intent.Constraint {
 	}
 }
 
-// The typed errors returned by NewSystem, LoadSystem, Validate, and the
+// The typed errors returned by NewSystem, Validate, and the
 // standardization entry points; all work with errors.Is. ErrCanceled and
 // ErrDeadlineExceeded additionally match context.Canceled and
 // context.DeadlineExceeded respectively.
@@ -458,24 +458,8 @@ const (
 )
 
 // Timings is the per-phase wall-clock breakdown of one standardization
-// (the paper's Figure 7 decomposition). In parallel searches the
-// per-phase entries accumulate CPU time across workers, so their sum can
-// exceed Total.
-type Timings struct {
-	// CurateSearchSpace is the offline corpus-curation time (paid once per
-	// System and reported on every Result).
-	CurateSearchSpace time.Duration
-	// GetSteps ranks candidate transformations.
-	GetSteps time.Duration
-	// GetTopKBeams extends and selects beams.
-	GetTopKBeams time.Duration
-	// CheckIfExecutes verifies the execution constraint.
-	CheckIfExecutes time.Duration
-	// VerifyConstraints verifies the user-intent constraint.
-	VerifyConstraints time.Duration
-	// Total is the end-to-end wall clock of the call.
-	Total time.Duration
-}
+// (the paper's Figure 7 decomposition); see core.Timings for the fields.
+type Timings = core.Timings
 
 // ExecCacheStats reports the execution-prefix cache's effectiveness for
 // one standardization (all zeros when the cache is disabled).
@@ -683,15 +667,8 @@ func (s *System) toResult(res *core.Result) *Result {
 			StmtsSkipped:  res.CacheStats.StmtsSkipped,
 			EstSavedTime:  res.CacheStats.EstSavedTime(),
 		},
-		Timings: Timings{
-			CurateSearchSpace: res.Timings.CurateSearchSpace,
-			GetSteps:          res.Timings.GetSteps,
-			GetTopKBeams:      res.Timings.GetTopKBeams,
-			CheckIfExecutes:   res.Timings.CheckIfExecutes,
-			VerifyConstraints: res.Timings.VerifyConstraints,
-			Total:             res.Timings.Total,
-		},
-		Health: res.Health,
+		Timings: res.Timings,
+		Health:  res.Health,
 	}
 	for _, tr := range res.Applied {
 		out.Transformations = append(out.Transformations, tr.String())
@@ -767,38 +744,6 @@ func (s *System) Stats() CorpusStats {
 		UniqueNgrams:   v.NumUniqueLines(),
 		UniqueEdges:    v.NumUniqueEdges(),
 	}
-}
-
-// SaveSearchSpace serializes the curated search space (the offline phase's
-// output: atom/edge vocabularies, corpus distribution, atom positions) so a
-// later session can LoadSystem without re-curating the corpus.
-func (s *System) SaveSearchSpace(w io.Writer) error {
-	return s.std.Corpus.Vocab.Encode(w)
-}
-
-// LoadSystem rebuilds a System from a search space written by
-// SaveSearchSpace plus the input dataset. Options are applied as in
-// NewSystem (the corpus itself is not needed again).
-func LoadSystem(r io.Reader, sources map[string]*Frame, opts Options) (*System, error) {
-	vocab, err := entropy.DecodeVocab(r)
-	if err != nil {
-		return nil, err
-	}
-	// Build an empty system shell, then install the decoded vocabulary.
-	placeholder, err := ParseScript("import pandas as pd")
-	if err != nil {
-		return nil, err
-	}
-	sys, err := NewSystem([]*Script{placeholder}, sources, opts)
-	if err != nil {
-		return nil, err
-	}
-	sys.std.Corpus.Vocab = vocab
-	if opts.Auto {
-		seq, k := core.AutoConfig(vocab.NumScripts, vocab.NumUniqueEdges())
-		sys.std.Config.SeqLength, sys.std.Config.BeamSize = seq, k
-	}
-	return sys, nil
 }
 
 // NewSystemFromRegistry builds a System over a corpus registry snapshot

@@ -2,8 +2,11 @@ package lucidscript
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"lucidscript/internal/registry"
 )
 
 const testCSV = `Glucose,SkinThickness,Age,Outcome
@@ -174,15 +177,24 @@ func TestReadCSVFacade(t *testing.T) {
 	}
 }
 
-func TestSaveLoadSearchSpace(t *testing.T) {
-	sys := newTestSystem(t, Options{Tau: 0.5, SeqLength: 6})
-	var buf strings.Builder
-	if err := sys.SaveSearchSpace(&buf); err != nil {
+func TestNewSystemFromRegistryMatchesNewSystem(t *testing.T) {
+	opts := Options{Tau: 0.5, SeqLength: 6}
+	sys := newTestSystem(t, opts)
+	var members []registry.Script
+	for i := 0; i < 5; i++ {
+		members = append(members, registry.Script{ID: fmt.Sprintf("s%d", i), Source: corpusScript})
+	}
+	dir := t.TempDir()
+	if _, err := registry.Create(dir, members); err != nil {
+		t.Fatal(err)
+	}
+	// A warm open, as a later session would do: curation is not re-run.
+	reg, err := registry.Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	data, _ := ReadCSV(strings.NewReader(testCSV))
-	loaded, err := LoadSystem(strings.NewReader(buf.String()),
-		map[string]*Frame{"diabetes.csv": data}, Options{Tau: 0.5, SeqLength: 6})
+	loaded, err := NewSystemFromRegistry(reg, map[string]*Frame{"diabetes.csv": data}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +214,6 @@ df = df.fillna(df.median())
 		t.Fatal(err)
 	}
 	if a.Script.Source() != b.Script.Source() {
-		t.Fatalf("loaded system differs:\n%s\nvs\n%s", a.Script.Source(), b.Script.Source())
-	}
-	if _, err := LoadSystem(strings.NewReader("oops"), nil, Options{}); err == nil {
-		t.Fatal("bad search space should error")
+		t.Fatalf("registry system differs:\n%s\nvs\n%s", a.Script.Source(), b.Script.Source())
 	}
 }
