@@ -6,6 +6,7 @@ package lucidscript
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -27,7 +28,7 @@ func buildCLIs(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, tool := range []string{"lsrun", "lsstd", "lsbench"} {
+		for _, tool := range []string{"lsrun", "lsstd", "lsbench", "lsserved"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, tool), "./cmd/"+tool)
 			cmd.Dir = "."
 			if out, err := cmd.CombinedOutput(); err != nil {
@@ -249,6 +250,60 @@ func TestLSBenchCLIListAndTable2(t *testing.T) {
 	}
 	if err := exec.Command(filepath.Join(bin, "lsbench"), "-exp", "nope").Run(); err == nil {
 		t.Fatal("unknown experiment should fail")
+	}
+}
+
+// TestLSBenchCLIJSONWithoutRecords: -json with only experiments that
+// write no records is a usage error naming them, and writes no file.
+func TestLSBenchCLIJSONWithoutRecords(t *testing.T) {
+	bin := buildCLIs(t)
+	jsonPath := filepath.Join(t.TempDir(), "t2.json")
+	cmd := exec.Command(filepath.Join(bin, "lsbench"), "-exp", "table2", "-q", "-json", jsonPath)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+		t.Fatalf("lsbench -exp table2 -json: err %v, want exit status 2\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "table2") {
+		t.Fatalf("stderr does not name the experiment:\n%s", stderr.String())
+	}
+	if _, err := os.Stat(jsonPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("-json file was written (stat err %v)", err)
+	}
+}
+
+// TestCorpusParseFailureCLI pins one policy for a corpus directory holding
+// a script that does not parse: every command that reads the directory
+// fails and names the file, rather than curating the rest.
+func TestCorpusParseFailureCLI(t *testing.T) {
+	bin := buildCLIs(t)
+	dir, csv, scriptPath, corpusDir := writeFixtures(t)
+	if err := os.WriteFile(filepath.Join(corpusDir, "zz_bad.py"), []byte("df = ???\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tool string
+		args []string
+	}{
+		{"lsstd", "lsstd", []string{"-script", scriptPath, "-corpus", corpusDir, "-data", csv}},
+		{"lsstd registry", "lsstd", []string{"-script", scriptPath, "-corpus", corpusDir, "-data", csv,
+			"-registry-dir", filepath.Join(dir, "reg")}},
+		{"lsserved", "lsserved", []string{"-addr", "127.0.0.1:0", "-corpus", corpusDir, "-data", csv}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(filepath.Join(bin, tc.tool), tc.args...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			if err := cmd.Run(); err == nil {
+				t.Fatalf("%s succeeded over a corpus with an unparseable script\n%s", tc.tool, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "zz_bad.py") {
+				t.Fatalf("stderr does not name the bad file:\n%s", stderr.String())
+			}
+		})
 	}
 }
 

@@ -94,20 +94,22 @@ func main() {
 		opts.Metrics = metrics
 	}
 
-	var ids []string
-	if *exp == "all" {
-		for _, e := range exps {
-			ids = append(ids, e.ID)
+	selected := exps
+	if *exp != "all" {
+		selected = nil
+		for _, id := range strings.Split(*exp, ",") {
+			e, err := bench.Lookup(exps, id)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			selected = append(selected, e)
 		}
-	} else {
-		ids = strings.Split(*exp, ",")
 	}
-	for _, id := range ids {
-		e, err := bench.Lookup(exps, id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if *jsonPath != "" {
+		checkJSONWritten(exps, selected)
+	}
+	for _, e := range selected {
 		start := time.Now()
 		t, err := e.Run(opts)
 		if err != nil {
@@ -122,4 +124,24 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lsbench: metrics dump:", err)
 		}
 	}
+}
+
+// checkJSONWritten exits 2 when -json is set but no selected experiment
+// writes records, instead of silently ignoring the flag.
+func checkJSONWritten(exps, selected []bench.Experiment) {
+	var none, some []string
+	for _, e := range selected {
+		if e.Records {
+			return
+		}
+		none = append(none, e.ID)
+	}
+	for _, e := range exps {
+		if e.Records {
+			some = append(some, e.ID)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "lsbench: -json: %s write no records (only %s do)\n",
+		strings.Join(none, ", "), strings.Join(some, ", "))
+	os.Exit(2)
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lsserved -addr :8080 -corpus scripts_dir -data diabetes.csv \
-//	         [-measure jaccard|model] [-tau 0.9] [-target Outcome] \
+//	         [-measure jaccard|row-jaccard|emd|model] [-tau 0.9] [-target Outcome] \
 //	         [-queue-depth 16] [-serve-workers 4] [-job-timeout 60s]
 //
 // Multiple datasets are hosted with repeatable -dataset specs, each
@@ -54,7 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -78,7 +77,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		corpusDir    = flag.String("corpus", "", "corpus directory for the single-dataset shorthand (with -data)")
-		measure      = flag.String("measure", "jaccard", "user-intent measure: jaccard or model")
+		measure      = flag.String("measure", "jaccard", "user-intent measure: jaccard, row-jaccard, emd or model (fairness needs a protected column, which no flag sets)")
 		tau          = flag.Float64("tau", 0, "intent threshold (default 0.9 jaccard / 1% model)")
 		target       = flag.String("target", "", "label column (required for -measure model)")
 		seq          = flag.Int("seq", 0, "max transformations (default 16)")
@@ -99,7 +98,7 @@ func main() {
 		registryDir  = flag.String("registry-dir", "", "corpus-registry base directory; datasets persist curated state under <dir>/<name> and warm-boot from it (empty = curate every boot)")
 		adminToken   = flag.String("admin-token", "", "bearer token for admin endpoints (corpus reload); empty disables them")
 		snapEvery    = flag.Int("snapshot-every", 0, "WAL appends between job-store snapshots (default 512; needs -data-dir)")
-		maxRows      = flag.Int("max-rows", 0, "row cap for search-time execution, full data still verifies (0 = off)")
+		maxRows      = flag.Int("max-rows", 0, "row cap on the sampled sources candidates execute and verify against; only the output hash reads the full data (0 = default 50000, negative = no sampling)")
 		dataPaths    stringList
 		datasetSpecs stringList
 	)
@@ -256,7 +255,11 @@ func buildDataset(spec string, opts lucidscript.Options, registryBase string) (s
 	}
 
 	if registryBase == "" {
-		corpus, err := loadCorpus(parts[0])
+		members, err := registry.ReadDir(parts[0])
+		if err != nil {
+			return "", nil, nil, fmt.Errorf("dataset %q: %w", name, err)
+		}
+		corpus, err := registry.Parse(members)
 		if err != nil {
 			return "", nil, nil, fmt.Errorf("dataset %q: %w", name, err)
 		}
@@ -278,7 +281,7 @@ func buildDataset(spec string, opts lucidscript.Options, registryBase string) (s
 		fmt.Fprintf(os.Stderr, "lsserved: dataset %q warm-booting from registry %s (v%d)\n",
 			name, regDir, reg.Version())
 	} else {
-		members, err := loadCorpusMembers(parts[0])
+		members, err := registry.ReadDir(parts[0])
 		if err != nil {
 			return "", nil, nil, fmt.Errorf("dataset %q: %w", name, err)
 		}
@@ -305,71 +308,6 @@ func buildDataset(spec string, opts lucidscript.Options, registryBase string) (s
 		return s, r.Version(), nil
 	}
 	return name, sys, reload, nil
-}
-
-// loadCorpusMembers reads every *.ls / *.py script in dir as a registry
-// member keyed by file name, sorted for a stable curation order.
-func loadCorpusMembers(dir string) ([]registry.Script, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".ls") || strings.HasSuffix(e.Name(), ".py") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no *.ls or *.py scripts in %s", dir)
-	}
-	members := make([]registry.Script, 0, len(names))
-	for _, n := range names {
-		b, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			return nil, err
-		}
-		members = append(members, registry.Script{ID: n, Source: string(b)})
-	}
-	return members, nil
-}
-
-// loadCorpus reads every *.ls / *.py script in dir, sorted by name.
-func loadCorpus(dir string) ([]*lucidscript.Script, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".ls") || strings.HasSuffix(e.Name(), ".py") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var corpus []*lucidscript.Script
-	for _, n := range names {
-		b, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			return nil, err
-		}
-		sc, err := lucidscript.ParseScript(string(b))
-		if err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", n, err)
-		}
-		corpus = append(corpus, sc)
-	}
-	if len(corpus) == 0 {
-		return nil, fmt.Errorf("no *.ls or *.py scripts in %s", dir)
-	}
-	return corpus, nil
 }
 
 func fatal(err error) {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	lsstd -script my_prep.ls -corpus scripts_dir -data diabetes.csv \
-//	      [-measure jaccard|model] [-tau 0.9] [-target Outcome] \
+//	      [-measure jaccard|row-jaccard|emd|model] [-tau 0.9] [-target Outcome] \
 //	      [-seq 16] [-beam 3] [-auto] \
 //	      [-timeout 30s] [-trace] [-metrics-dump]
 //
@@ -28,7 +28,8 @@
 // a running lsserved can hot-swap in via its reload endpoint.
 //
 // The corpus directory is scanned for *.ls and *.py files (straight-line
-// pandas-style scripts).
+// pandas-style scripts, see registry.ReadDir); a script that does not parse
+// fails the run, naming the file.
 package main
 
 import (
@@ -40,7 +41,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
@@ -64,7 +64,7 @@ func main() {
 		batchWork   = flag.Int("batch-workers", 0, "worker pool size for -jobs (0 = GOMAXPROCS)")
 		corpusDir   = flag.String("corpus", "", "directory of corpus scripts (required unless -registry-dir)")
 		registryDir = flag.String("registry-dir", "", "corpus-registry directory: warm-load the curated state; with -corpus, diff the directory against the registry and publish a new version incrementally")
-		measure     = flag.String("measure", "jaccard", "user-intent measure: jaccard or model")
+		measure     = flag.String("measure", "jaccard", "user-intent measure: jaccard, row-jaccard, emd or model (fairness needs a protected column, which no flag sets)")
 		tau         = flag.Float64("tau", 0, "intent threshold (default 0.9 jaccard / 1% model)")
 		target      = flag.String("target", "", "label column (required for -measure model)")
 		seq         = flag.Int("seq", 0, "max transformations (default 16)")
@@ -159,7 +159,11 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		corpus, err := loadCorpus(*corpusDir)
+		members, err := registry.ReadDir(*corpusDir)
+		if err != nil {
+			fatal(err)
+		}
+		corpus, err := registry.Parse(members)
 		if err != nil {
 			fatal(err)
 		}
@@ -323,7 +327,7 @@ func syncRegistry(regDir, corpusDir string) (*registry.Registry, error) {
 		if corpusDir == "" {
 			return nil, fmt.Errorf("registry %s is empty; pass -corpus to seed it", regDir)
 		}
-		members, err := loadCorpusMembers(corpusDir)
+		members, err := registry.ReadDir(corpusDir)
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +353,7 @@ func syncRegistry(regDir, corpusDir string) (*registry.Registry, error) {
 		return reg, nil
 	}
 
-	want, err := loadCorpusMembers(corpusDir)
+	want, err := registry.ReadDir(corpusDir)
 	if err != nil {
 		return nil, err
 	}
@@ -404,71 +408,6 @@ func syncRegistry(regDir, corpusDir string) (*registry.Registry, error) {
 	fmt.Fprintf(os.Stderr, "registry %s: +%d -%d scripts, published v%d (%d live)\n",
 		regDir, len(add), len(remove), v, reg.NumScripts())
 	return reg, nil
-}
-
-// loadCorpusMembers reads every *.ls / *.py script in dir as a registry
-// member keyed by file name.
-func loadCorpusMembers(dir string) ([]registry.Script, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".ls") || strings.HasSuffix(e.Name(), ".py") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no *.ls or *.py scripts in %s", dir)
-	}
-	members := make([]registry.Script, 0, len(names))
-	for _, n := range names {
-		b, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			return nil, err
-		}
-		members = append(members, registry.Script{ID: n, Source: string(b)})
-	}
-	return members, nil
-}
-
-func loadCorpus(dir string) ([]*lucidscript.Script, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".ls") || strings.HasSuffix(e.Name(), ".py") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var corpus []*lucidscript.Script
-	for _, n := range names {
-		b, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			return nil, err
-		}
-		s, err := lucidscript.ParseScript(string(b))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipping %s: %v\n", n, err)
-			continue
-		}
-		corpus = append(corpus, s)
-	}
-	if len(corpus) == 0 {
-		return nil, fmt.Errorf("no parseable scripts in %s", dir)
-	}
-	return corpus, nil
 }
 
 func fatal(err error) {

@@ -38,7 +38,7 @@ func Ablate(opts Options) (*Table, error) {
 		for _, v := range variants {
 			cfg := lsConfig(opts, intent.MeasureJaccard, 0.9, "")
 			v.tweak(&cfg)
-			runs := leaveOneOut(gen, nil, nil, cfg, opts.ScriptsPerDataset, func(string, ...interface{}) {})
+			runs := leaveOneOut(gen, cfg, opts.ScriptsPerDataset, func(string, ...interface{}) {})
 			var imps, checks []float64
 			for _, r := range runs {
 				imps = append(imps, r.improvement)

@@ -16,7 +16,6 @@ import (
 	"lucidscript/internal/corpusgen"
 	"lucidscript/internal/dag"
 	"lucidscript/internal/entropy"
-	"lucidscript/internal/frame"
 	"lucidscript/internal/intent"
 	"lucidscript/internal/interp"
 	"lucidscript/internal/obs"
@@ -215,30 +214,29 @@ type lsRun struct {
 	execChecks  int
 }
 
-// leaveOneOut standardizes up to cap corpus scripts, each against the rest,
-// using the supplied corpus override (nil = the generated corpus) and data
-// sources override (nil = the generated sources).
-func leaveOneOut(gen *corpusgen.Generated, corpus []*script.Script, sources map[string]*frame.Frame, cfg core.Config, cap int, logf func(string, ...interface{})) []lsRun {
-	inputs := gen.ScriptsOnly()
-	if cap > 0 && len(inputs) > cap {
-		inputs = inputs[:cap]
+// inputScripts returns the scripts a leave-one-out experiment standardizes:
+// the first cap of them, or all when cap ≤ 0.
+func inputScripts(scripts []*script.Script, cap int) []*script.Script {
+	if cap > 0 && len(scripts) > cap {
+		return scripts[:cap]
 	}
-	if sources == nil {
-		sources = gen.Sources
-	}
+	return scripts
+}
+
+// heldOut returns every script but the i-th, in order: the corpus that
+// script i is standardized against in a leave-one-out run.
+func heldOut(scripts []*script.Script, i int) []*script.Script {
+	rest := make([]*script.Script, 0, len(scripts)-1)
+	rest = append(rest, scripts[:i]...)
+	return append(rest, scripts[i+1:]...)
+}
+
+// leaveOneOut standardizes up to cap corpus scripts, each against the rest.
+func leaveOneOut(gen *corpusgen.Generated, cfg core.Config, cap int, logf func(string, ...interface{})) []lsRun {
+	all := gen.ScriptsOnly()
 	var runs []lsRun
-	for i, su := range inputs {
-		var rest []*script.Script
-		if corpus == nil {
-			for j, other := range gen.ScriptsOnly() {
-				if j != i {
-					rest = append(rest, other)
-				}
-			}
-		} else {
-			rest = corpus
-		}
-		std := core.New(rest, sources, cfg)
+	for i, su := range inputScripts(all, cap) {
+		std := core.New(heldOut(all, i), gen.Sources, cfg)
 		start := time.Now()
 		res, err := std.Standardize(su)
 		if err != nil {

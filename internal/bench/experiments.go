@@ -172,17 +172,9 @@ func Table5(opts Options) (*Table, error) {
 			{Measure: intent.MeasureJaccard, Tau: 0.9},
 			{Measure: intent.MeasureModel, Tau: 1, Model: intent.ModelConfig{Target: gen.Competition.Target}},
 		}
-		inputs := gen.ScriptsOnly()
-		if opts.ScriptsPerDataset > 0 && len(inputs) > opts.ScriptsPerDataset {
-			inputs = inputs[:opts.ScriptsPerDataset]
-		}
+		inputs := inputScripts(gen.ScriptsOnly(), opts.ScriptsPerDataset)
 		for i, su := range inputs {
-			var rest []*script.Script
-			for j, other := range gen.ScriptsOnly() {
-				if j != i {
-					rest = append(rest, other)
-				}
-			}
+			rest := heldOut(gen.ScriptsOnly(), i)
 			cfg := lsConfig(opts, intent.MeasureJaccard, 0.9, "")
 			std := core.New(rest, gen.Sources, cfg)
 			grid, err := std.StandardizeGrid(su, []int{cfg.SeqLength}, constraints)
@@ -265,10 +257,7 @@ func runScenario(opts Options, cache *genCache, pick func(*corpusgen.Generated) 
 			{Measure: intent.MeasureJaccard, Tau: 0.9},
 			{Measure: intent.MeasureModel, Tau: 1, Model: intent.ModelConfig{Target: gen.Competition.Target}},
 		}
-		inputs := gen.ScriptsOnly()
-		if opts.ScriptsPerDataset > 0 && len(inputs) > opts.ScriptsPerDataset {
-			inputs = inputs[:opts.ScriptsPerDataset]
-		}
+		inputs := inputScripts(gen.ScriptsOnly(), opts.ScriptsPerDataset)
 		cfg := lsConfig(opts, intent.MeasureJaccard, 0.9, "")
 		std := core.New(corpus, sources, cfg)
 		for i, su := range inputs {
@@ -299,10 +288,7 @@ func crossDataset(opts Options, cache *genCache) (lsJ, lsM []float64, err error)
 		{Measure: intent.MeasureJaccard, Tau: 0.9},
 		{Measure: intent.MeasureModel, Tau: 1, Model: intent.ModelConfig{Target: space.Competition.Target}},
 	}
-	inputs := space.ScriptsOnly()
-	if opts.ScriptsPerDataset > 0 && len(inputs) > opts.ScriptsPerDataset {
-		inputs = inputs[:opts.ScriptsPerDataset]
-	}
+	inputs := inputScripts(space.ScriptsOnly(), opts.ScriptsPerDataset)
 	cfg := lsConfig(opts, intent.MeasureJaccard, 0.9, "")
 	std := core.New(titanic.ScriptsOnly(), space.Sources, cfg)
 	for i, su := range inputs {

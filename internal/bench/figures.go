@@ -212,7 +212,7 @@ func Fig4(opts Options) (*Table, error) {
 		}
 		opts.logf("fig4: %s", name)
 		cfg := lsConfig(opts, intent.MeasureJaccard, 0.9, "")
-		runs := leaveOneOut(gen, nil, nil, cfg, opts.ScriptsPerDataset, opts.logf)
+		runs := leaveOneOut(gen, cfg, opts.ScriptsPerDataset, opts.logf)
 		var ls []float64
 		for _, r := range runs {
 			ls = append(ls, r.improvement)
@@ -220,10 +220,7 @@ func Fig4(opts Options) (*Table, error) {
 		series := map[string][]float64{"LS (τJ)": ls}
 		for _, ver := range []baselines.GPTVersion{baselines.GPT35, baselines.GPT4} {
 			var imps []float64
-			inputs := gen.ScriptsOnly()
-			if opts.ScriptsPerDataset > 0 && len(inputs) > opts.ScriptsPerDataset {
-				inputs = inputs[:opts.ScriptsPerDataset]
-			}
+			inputs := inputScripts(gen.ScriptsOnly(), opts.ScriptsPerDataset)
 			vocab := corpusVocab(gen.ScriptsOnly())
 			g := baselines.NewSimGPT(ver, opts.Seed, gen.Sources[gen.Competition.File], gen.Competition.Target).WithExamples(gen.ScriptsOnly())
 			for _, su := range inputs {
@@ -273,17 +270,9 @@ func Fig5(opts Options) (*Table, error) {
 		}
 		cfg := lsConfig(opts, intent.MeasureJaccard, 0.9, "")
 		imps := make([][]float64, len(constraints))
-		inputs := gen.ScriptsOnly()
-		if opts.ScriptsPerDataset > 0 && len(inputs) > opts.ScriptsPerDataset {
-			inputs = inputs[:opts.ScriptsPerDataset]
-		}
+		inputs := inputScripts(gen.ScriptsOnly(), opts.ScriptsPerDataset)
 		for i, su := range inputs {
-			var rest []*script.Script
-			for j, other := range gen.ScriptsOnly() {
-				if j != i {
-					rest = append(rest, other)
-				}
-			}
+			rest := heldOut(gen.ScriptsOnly(), i)
 			std := core.New(rest, gen.Sources, cfg)
 			grid, err := std.StandardizeGrid(su, []int{cfg.SeqLength}, constraints)
 			if err != nil {
@@ -325,19 +314,11 @@ func Fig6(opts Options) (*Table, error) {
 		}
 		opts.logf("fig6: %s", name)
 		constraint := []intent.Constraint{{Measure: intent.MeasureJaccard, Tau: 0.9}}
-		inputs := gen.ScriptsOnly()
-		if opts.ScriptsPerDataset > 0 && len(inputs) > opts.ScriptsPerDataset {
-			inputs = inputs[:opts.ScriptsPerDataset]
-		}
+		inputs := inputScripts(gen.ScriptsOnly(), opts.ScriptsPerDataset)
 		// seq sweep: one search at seq=16 per input.
 		seqImps := make([][]float64, len(seqs))
 		for i, su := range inputs {
-			var rest []*script.Script
-			for j, other := range gen.ScriptsOnly() {
-				if j != i {
-					rest = append(rest, other)
-				}
-			}
+			rest := heldOut(gen.ScriptsOnly(), i)
 			cfg := lsConfig(opts, intent.MeasureJaccard, 0.9, "")
 			cfg.SeqLength = 16
 			std := core.New(rest, gen.Sources, cfg)
@@ -356,7 +337,7 @@ func Fig6(opts Options) (*Table, error) {
 		for _, k := range beams {
 			cfg := lsConfig(opts, intent.MeasureJaccard, 0.9, "")
 			cfg.BeamSize = k
-			runs := leaveOneOut(gen, nil, nil, cfg, opts.ScriptsPerDataset, func(string, ...interface{}) {})
+			runs := leaveOneOut(gen, cfg, opts.ScriptsPerDataset, func(string, ...interface{}) {})
 			var vals []float64
 			for _, r := range runs {
 				vals = append(vals, r.improvement)
@@ -383,7 +364,7 @@ func Fig7(opts Options) (*Table, error) {
 		}
 		opts.logf("fig7: %s", name)
 		cfg := lsConfig(opts, intent.MeasureJaccard, 0.9, "")
-		runs := leaveOneOut(gen, nil, nil, cfg, opts.ScriptsPerDataset, func(string, ...interface{}) {})
+		runs := leaveOneOut(gen, cfg, opts.ScriptsPerDataset, func(string, ...interface{}) {})
 		collect := func(f func(core.Timings) float64) float64 {
 			var vals []float64
 			for _, r := range runs {
@@ -445,12 +426,7 @@ func Fig9(opts Options) (*Table, error) {
 			if err != nil {
 				continue
 			}
-			var rest []*script.Script
-			for j, other := range gen.ScriptsOnly() {
-				if j != i {
-					rest = append(rest, other)
-				}
-			}
+			rest := heldOut(gen.ScriptsOnly(), i)
 			cfg := lsConfig(opts, intent.MeasureModel, 5, gen.Competition.Target)
 			cfg.SeqLength = 16
 			std := core.New(rest, gen.Sources, cfg)

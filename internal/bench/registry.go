@@ -15,6 +15,9 @@ type Experiment struct {
 	Description string
 	// Run produces the result table.
 	Run func(Options) (*Table, error)
+	// Records marks an experiment whose Run also writes machine-readable
+	// records to Options.JSONPath; the others write none.
+	Records bool
 }
 
 // Experiments returns this package's reproductions, in paper order. The
@@ -34,8 +37,8 @@ func Experiments() []Experiment {
 		{ID: "fig7", Paper: "Figure 7", Description: "runtime breakdown", Run: Fig7},
 		{ID: "fig9", Paper: "Figure 9", Description: "target-leakage detection", Run: Fig9},
 		{ID: "ablate", Paper: "(extra)", Description: "framework-component ablation (DESIGN.md)", Run: Ablate},
-		{ID: "batch", Paper: "(extra)", Description: "concurrent batch engine vs sequential standardization", Run: Batch},
-		{ID: "curate", Paper: "(extra)", Description: "corpus-registry lifecycle: cold curation vs warm load vs incremental apply", Run: Curate},
+		{ID: "batch", Paper: "(extra)", Description: "concurrent batch engine vs sequential standardization", Run: Batch, Records: true},
+		{ID: "curate", Paper: "(extra)", Description: "corpus-registry lifecycle: cold curation vs warm load vs incremental apply", Run: Curate, Records: true},
 	}
 }
 

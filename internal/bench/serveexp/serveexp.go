@@ -25,9 +25,9 @@ import (
 // `lsbench -exp all` ends with the replay.
 func Experiments() []bench.Experiment {
 	return []bench.Experiment{
-		{ID: "serve", Paper: "(extra)", Description: "HTTP standardization service vs direct library calls", Run: Serve},
-		{ID: "route", Paper: "(extra)", Description: "lsrouter-fronted cluster vs a single directly-addressed replica", Run: Route},
-		{ID: "regress", Paper: "(extra)", Description: "perf-regression replay of batch+serve+route+curate (gate it with benchgate)", Run: Regress},
+		{ID: "serve", Paper: "(extra)", Description: "HTTP standardization service vs direct library calls", Run: Serve, Records: true},
+		{ID: "route", Paper: "(extra)", Description: "lsrouter-fronted cluster vs a single directly-addressed replica", Run: Route, Records: true},
+		{ID: "regress", Paper: "(extra)", Description: "perf-regression replay of batch+serve+route+curate (gate it with benchgate)", Run: Regress, Records: true},
 	}
 }
 

@@ -15,7 +15,13 @@ import (
 	"lucidscript/internal/obs"
 )
 
-// Config holds the search parameters of Algorithm 1.
+// diversityClusters is M, the number of K-means clusters the diverse beam
+// extension (Algorithm 3) splits each step's ranked transformations into.
+const diversityClusters = 3
+
+// Config holds the search parameters of Algorithm 1. Verification examines
+// the whole candidate archive: outputs and model accuracies are cached and
+// the archive is bounded by seq × K², so it stays cheap.
 type Config struct {
 	// SeqLength is the maximum number of transformations (stopping criterion).
 	SeqLength int
@@ -23,8 +29,6 @@ type Config struct {
 	BeamSize int
 	// Diversity enables the K-means diverse beam extension (Algorithm 3).
 	Diversity bool
-	// Clusters is M, the number of K-means clusters for diversity.
-	Clusters int
 	// EarlyCheck is α: verify the execution constraint after every
 	// transformation (true) or only at the end (false).
 	EarlyCheck bool
@@ -45,21 +49,12 @@ type Config struct {
 	// happens per beam rather than across beams, so outputs can differ
 	// slightly from the sequential search.
 	Workers int
-	// VerifyLimit bounds how many final candidates are intent-verified;
-	// 0 (the default) verifies the whole archive. Candidate outputs and
-	// model accuracies are cached, and the archive is bounded by
-	// seq × K², so unlimited verification stays cheap — a positive limit
-	// is only useful to cap worst-case latency.
-	VerifyLimit int
 	// Seed drives sampling and any stochastic tie-breaking.
 	Seed int64
 	// ExecCache enables the prefix-memoized execution cache: candidate
 	// scripts share the interpreter work of every previously executed
 	// statement prefix. Results are identical with the cache on or off.
 	ExecCache bool
-	// ExecCacheSize bounds the cache trie's node count; 0 means the
-	// interp.DefaultCacheSize default.
-	ExecCacheSize int
 	// Limits is the per-candidate resource governor applied to every
 	// interpreter run (early checks, verification, batch jobs). A candidate
 	// that trips a budget is quarantined — dropped and tallied in
@@ -86,17 +81,15 @@ type Config struct {
 // (Section 6.1.5): seq=16, K=3, diversity on, early checking on, τ_J=0.9.
 func DefaultConfig() Config {
 	return Config{
-		SeqLength:   16,
-		BeamSize:    3,
-		Diversity:   true,
-		Clusters:    3,
-		EarlyCheck:  true,
-		StepLimit:   64,
-		MaxRows:     50000,
-		VerifyLimit: 0,
-		Seed:        1,
-		ExecCache:   true,
-		Constraint:  intent.Constraint{Measure: intent.MeasureJaccard, Tau: 0.9},
+		SeqLength:  16,
+		BeamSize:   3,
+		Diversity:  true,
+		EarlyCheck: true,
+		StepLimit:  64,
+		MaxRows:    50000,
+		Seed:       1,
+		ExecCache:  true,
+		Constraint: intent.Constraint{Measure: intent.MeasureJaccard, Tau: 0.9},
 	}
 }
 

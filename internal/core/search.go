@@ -45,19 +45,16 @@ func (st *Standardizer) newSession() *interp.SessionCache {
 }
 
 // newSessionScaled builds a session cache with the node budget scaled for
-// n concurrent searches. The configured (or default) size is tuned for one
-// search; a batch sharing one trie across n jobs needs a bigger budget, or
-// the jobs evict each other's hot prefixes and the cache thrashes. The
+// n concurrent searches. interp.DefaultCacheSize is tuned for one search;
+// a batch sharing one trie across n jobs needs a bigger budget, or the
+// jobs evict each other's hot prefixes and the cache thrashes. The
 // factor is capped: every cached node pins an environment, so scaling by
 // the full job count would trade eviction thrash for GC drag on big data.
 func (st *Standardizer) newSessionScaled(n int) *interp.SessionCache {
 	if !st.Config.ExecCache {
 		return nil
 	}
-	size := st.Config.ExecCacheSize
-	if size <= 0 {
-		size = interp.DefaultCacheSize
-	}
+	size := interp.DefaultCacheSize
 	const maxScale = 4
 	if n > maxScale {
 		n = maxScale
@@ -480,8 +477,8 @@ func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess interp.
 	steps = limitSteps(steps, cfg.StepLimit)
 	t1 := time.Now()
 	if cfg.Diversity {
-		clusters := clusterSteps(cand, steps, cfg.Clusters, st.Corpus.Vocab)
-		per := cfg.BeamSize / cfg.Clusters
+		clusters := clusterSteps(cand, steps, diversityClusters, st.Corpus.Vocab)
+		per := cfg.BeamSize / diversityClusters
 		if per < 1 {
 			per = 1
 		}
@@ -705,9 +702,6 @@ func (st *Standardizer) verifyWith(ctx context.Context, o *obsState, sess interp
 	for _, cand := range sorted {
 		if cand.re >= orig.re {
 			break // no remaining candidate can improve
-		}
-		if st.Config.VerifyLimit > 0 && checked >= st.Config.VerifyLimit {
-			break
 		}
 		if ctx.Err() != nil {
 			break // canceled: fall back to the input without poisoning the cache

@@ -197,31 +197,3 @@ func JobTracer(t Tracer, job int) Tracer {
 	}
 	return jobTracer{t: t, job: job}
 }
-
-// multiTracer fans one event out to several tracers.
-type multiTracer []Tracer
-
-func (m multiTracer) Emit(e Event) {
-	for _, t := range m {
-		t.Emit(e)
-	}
-}
-
-// MultiTracer returns a tracer that forwards every event to each non-nil
-// tracer in order. Nil entries are dropped; with zero or one live tracer it
-// returns nil or that tracer directly.
-func MultiTracer(tracers ...Tracer) Tracer {
-	var live []Tracer
-	for _, t := range tracers {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return multiTracer(live)
-}

@@ -44,21 +44,6 @@ func TestCollectTracerConcurrent(t *testing.T) {
 	}
 }
 
-func TestMultiTracer(t *testing.T) {
-	a, b := NewCollectTracer(), NewCollectTracer()
-	if got := MultiTracer(nil, nil); got != nil {
-		t.Fatalf("all-nil MultiTracer = %v, want nil", got)
-	}
-	if got := MultiTracer(nil, a); got != Tracer(a) {
-		t.Fatalf("single live tracer should be returned directly")
-	}
-	m := MultiTracer(a, nil, b)
-	m.Emit(Event{Kind: EvSearchStart})
-	if len(a.Events()) != 1 || len(b.Events()) != 1 {
-		t.Fatalf("fan-out failed: %d/%d", len(a.Events()), len(b.Events()))
-	}
-}
-
 func TestMetricsCountersAndPrometheus(t *testing.T) {
 	m := NewMetrics()
 	c := m.Counter(MCacheHits)

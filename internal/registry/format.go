@@ -17,9 +17,9 @@
 // state it only needs if membership later changes (Registry.Apply).
 //
 // A "CURRENT" pointer file names the published snapshot. Both the snapshot
-// and the pointer are written with the temp + fsync + rename idiom of
-// internal/serve/store, so a crash mid-publish leaves the previous version
-// intact and readable.
+// and the pointer are published with atomicfile.Write (temp + fsync +
+// rename), so a crash mid-publish leaves the previous version intact and
+// readable.
 package registry
 
 import (
@@ -270,41 +270,6 @@ func readScriptsAt(path string) ([]fileScript, *fileMeta, error) {
 		return nil, nil, fmt.Errorf("%w: scripts section holds %d entries, meta claims %d", ErrCorrupt, len(scripts), meta.Scripts)
 	}
 	return scripts, meta, nil
-}
-
-// writeFileAtomic publishes bytes at path via temp + fsync + rename, the
-// same durability idiom as internal/serve/store's snapshot compaction.
-func writeFileAtomic(dir, name string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := write(bw); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
 }
 
 // listVersions returns the snapshot versions present in dir, ascending.

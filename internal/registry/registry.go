@@ -31,8 +31,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
+	"lucidscript/internal/atomicfile"
 	"lucidscript/internal/dag"
 	"lucidscript/internal/entropy"
 	"lucidscript/internal/script"
@@ -65,6 +67,58 @@ type Script struct {
 	ID     string
 	Source string
 	Weight int
+}
+
+// ReadDir reads a corpus directory: every *.ls and *.py file in dir (not
+// descending into subdirectories), sorted by file name, as a member whose
+// ID is the file name. It is the one reader of the corpus-directory format
+// the commands share; sources are returned unparsed (see Parse). A
+// directory with no such file is an error.
+func ReadDir(dir string) ([]Script, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var members []Script
+	for _, e := range entries { // os.ReadDir sorts by name
+		n := e.Name()
+		if e.IsDir() || !(strings.HasSuffix(n, ".ls") || strings.HasSuffix(n, ".py")) {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, n))
+		if err != nil {
+			return nil, err
+		}
+		members = append(members, Script{ID: n, Source: string(b)})
+	}
+	if len(members) == 0 {
+		return nil, fmt.Errorf("no *.ls or *.py scripts in %s", dir)
+	}
+	return members, nil
+}
+
+// Parse parses every member's source, in order. A script that does not
+// parse fails the whole call with ErrBadScript naming its ID — the same
+// policy Create and Apply apply — so no caller silently curates a subset
+// of its corpus.
+func Parse(scripts []Script) ([]*script.Script, error) {
+	out := make([]*script.Script, len(scripts))
+	for i, s := range scripts {
+		var err error
+		if out[i], err = parseMember(s); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// parseMember parses one member's source, naming the member on failure.
+func parseMember(s Script) (*script.Script, error) {
+	parsed, err := script.Parse(s.Source)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %q: %v", ErrBadScript, s.ID, err)
+	}
+	return parsed, nil
 }
 
 // record is one corpus member's resident state: identity, source, and the
@@ -316,9 +370,9 @@ func (r *Registry) stage(scripts []Script) ([]*record, error) {
 			return nil, fmt.Errorf("%w: %q appears twice in one batch", ErrDuplicateScript, s.ID)
 		}
 		seen[s.ID] = true
-		parsed, err := script.Parse(s.Source)
+		parsed, err := parseMember(s)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %q: %v", ErrBadScript, s.ID, err)
+			return nil, err
 		}
 		g := dag.Build(parsed)
 		w := s.Weight
@@ -494,12 +548,12 @@ func (r *Registry) publishLocked() (int64, error) {
 	}
 	live := r.liveLocked()
 	name := snapshotName(next)
-	if err := writeFileAtomic(r.dir, name, func(w io.Writer) error {
+	if err := atomicfile.Write(r.dir, name, func(w io.Writer) error {
 		return encodeSnapshot(w, next, r.vocab, live)
 	}); err != nil {
 		return 0, fmt.Errorf("registry: publishing %s: %w", name, err)
 	}
-	if err := writeFileAtomic(r.dir, currentFile, func(w io.Writer) error {
+	if err := atomicfile.Write(r.dir, currentFile, func(w io.Writer) error {
 		_, werr := io.WriteString(w, name+"\n")
 		return werr
 	}); err != nil {

@@ -113,6 +113,50 @@ func TestCreateRejectsDuplicateIDs(t *testing.T) {
 	}
 }
 
+// TestReadDirAndParse pins the corpus-directory format: *.ls and *.py
+// files only, sorted by name, IDs are file names, sources unparsed; Parse
+// then fails on the first unparseable member, naming it.
+func TestReadDirAndParse(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"b.py":      testSource(1),
+		"a.ls":      testSource(0),
+		"notes.txt": "not a script",
+		"c.py":      "df = ???\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub.py"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	members, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, m := range members {
+		ids = append(ids, m.ID)
+	}
+	if got := strings.Join(ids, ","); got != "a.ls,b.py,c.py" {
+		t.Fatalf("ReadDir ids = %s, want a.ls,b.py,c.py", got)
+	}
+	if members[0].Source != testSource(0) || members[0].Weight != 0 {
+		t.Fatalf("member a.ls = %+v", members[0])
+	}
+	parsed, err := Parse(members[:2])
+	if err != nil || len(parsed) != 2 {
+		t.Fatalf("Parse(valid) = %d scripts, %v", len(parsed), err)
+	}
+	if _, err := Parse(members); !errors.Is(err, ErrBadScript) || !strings.Contains(err.Error(), "c.py") {
+		t.Fatalf("Parse(with c.py) err = %v, want ErrBadScript naming c.py", err)
+	}
+	if _, err := ReadDir(t.TempDir()); err == nil {
+		t.Fatal("ReadDir of a directory without scripts succeeded")
+	}
+}
+
 func TestOpenNoCorpus(t *testing.T) {
 	if _, err := Open(t.TempDir()); !errors.Is(err, ErrNoCorpus) {
 		t.Fatalf("err = %v, want ErrNoCorpus", err)

@@ -268,7 +268,7 @@ const (
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	state := q.Get("state")
-	if state != "" && !validState(state) {
+	if state != "" && !serve.ValidState(state) {
 		rt.writeError(w, http.StatusBadRequest, serve.CodeBadRequest,
 			fmt.Sprintf("unknown state %q (want one of %v)", state, serve.States))
 		return
@@ -402,15 +402,6 @@ func splitJobID(id string) (replica, rest string, ok bool) {
 	return replica, rest, true
 }
 
-func validState(st string) bool {
-	for _, s := range serve.States {
-		if s == st {
-			return true
-		}
-	}
-	return false
-}
-
 // copyHeader forwards one header from a proxied response when present.
 func copyHeader(w http.ResponseWriter, resp *http.Response, name string) {
 	if v := resp.Header.Get(name); v != "" {
@@ -421,7 +412,7 @@ func copyHeader(w http.ResponseWriter, resp *http.Response, name string) {
 // writeUnavailable is the router-originated retryable 503: no ready
 // owner for the shard (failover in progress) or an unreachable replica.
 func (rt *Router) writeUnavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", retryAfterSeconds(rt.cfg.RetryAfter))
+	w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
 	rt.writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{
 		Code:         serve.CodeNoReplica,
 		Message:      msg,
@@ -434,7 +425,7 @@ func (rt *Router) writeUnavailable(w http.ResponseWriter, msg string) {
 // depth at or over Config.ShedDepth, so the router sheds before the
 // replica saturates.
 func (rt *Router) writeShed(w http.ResponseWriter, dataset, owner string, depth int) {
-	w.Header().Set("Retry-After", retryAfterSeconds(rt.cfg.RetryAfter))
+	w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
 	rt.writeJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{
 		Code:         serve.CodeRouterShed,
 		Message:      fmt.Sprintf("shard %q on replica %q is saturated (queue depth %d)", dataset, owner, depth),
@@ -452,14 +443,4 @@ func (rt *Router) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// retryAfterSeconds renders a Retry-After header value, rounding up so
-// sub-second hints do not become "0".
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }

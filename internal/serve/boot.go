@@ -20,7 +20,7 @@ func BootHandler(retryAfter time.Duration) http.Handler {
 	}
 	notReady := func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
+		w.Header().Set("Retry-After", RetryAfterSeconds(retryAfter))
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_ = json.NewEncoder(w).Encode(ErrorResponse{
 			Code:         CodeNotReady,

@@ -667,7 +667,7 @@ const (
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	stateFilter := q.Get("state")
-	if stateFilter != "" && !validState(stateFilter) {
+	if stateFilter != "" && !ValidState(stateFilter) {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("unknown state %q (want one of %v)", stateFilter, States))
 		return
@@ -717,8 +717,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// validState reports whether st names a wire job state.
-func validState(st string) bool {
+// ValidState reports whether st names a wire job state (one of States).
+func ValidState(st string) bool {
 	for _, s := range States {
 		if s == st {
 			return true
@@ -925,7 +925,7 @@ func errorCode(err error) string {
 
 // writeUnavailable is the draining 503.
 func (s *Server) writeUnavailable(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+	w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
 	s.writeErrorBody(w, http.StatusServiceUnavailable, ErrorResponse{
 		Code:         CodeShuttingDown,
 		Message:      "server is shutting down",
@@ -939,7 +939,7 @@ func (s *Server) writeUnavailable(w http.ResponseWriter) {
 func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string) {
 	resp := ErrorResponse{Code: code, Message: msg, Retryable: RetryableCode(code)}
 	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
 		resp.RetryAfterMS = s.cfg.RetryAfter.Milliseconds()
 	}
 	s.writeErrorBody(w, status, resp)
@@ -962,9 +962,9 @@ func (s *Server) metric(name string, delta int64) {
 	s.cfg.Metrics.Counter(name).Add(delta)
 }
 
-// retryAfterSeconds renders a duration as the Retry-After header's integer
+// RetryAfterSeconds renders a duration as the Retry-After header's integer
 // seconds, rounding up so "500ms" does not become "0".
-func retryAfterSeconds(d time.Duration) string {
+func RetryAfterSeconds(d time.Duration) string {
 	secs := int64((d + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1

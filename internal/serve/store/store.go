@@ -15,7 +15,8 @@
 // acknowledged append survives a SIGKILL of the process (the bytes are in
 // the kernel page cache); surviving a whole-machine crash additionally
 // needs an fsync policy the serving tier does not require today. The
-// snapshot is written to a temp file and atomically renamed, and replay is
+// snapshot is published with atomicfile.Write (temp file, fsync, rename,
+// directory fsync), and replay is
 // idempotent, so a crash between snapshot and WAL truncation converges to
 // the same state. A torn tail — the half-written line a SIGKILL can leave —
 // is detected by its checksum (or missing newline) and truncated away on
@@ -36,6 +37,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"lucidscript/internal/atomicfile"
 )
 
 // The job states a Record can hold. Queued and Running are the two
@@ -417,10 +420,10 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
-// compactLocked writes snapshot.json atomically (temp file + rename,
-// fsynced before the rename so the rename never publishes a hollow file),
-// then truncates the WAL. Replay idempotence covers the crash window
-// between the two steps.
+// compactLocked publishes snapshot.json atomically (atomicfile.Write:
+// fsynced before the rename, directory fsynced after it), then truncates
+// the WAL. Replay idempotence covers the crash window between the two
+// steps.
 func (s *Store) compactLocked() error {
 	snap := snapshot{MaxSeq: s.maxSeq, Records: make([]*Record, 0, len(s.recs))}
 	for _, r := range s.recs {
@@ -431,27 +434,10 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, snapshotFile+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: snapshot temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: syncing snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, snapshotFile)); err != nil {
-		os.Remove(tmpName)
+	if err := atomicfile.Write(s.dir, snapshotFile, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("store: publishing snapshot: %w", err)
 	}
 	if err := s.wal.Truncate(0); err != nil {

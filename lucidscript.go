@@ -523,9 +523,20 @@ func NewSystem(corpus []*Script, sources map[string]*Frame, opts Options) (*Syst
 		return nil, err
 	}
 	opts = opts.resolved()
+	cc := core.CurateWeightedFaults(corpus, opts.Weights, sources, opts.Faults)
+	return newSystem(cc, len(corpus), opts), nil
+}
+
+// newSystem binds a curated corpus to resolved options. With Options.Auto,
+// seq and K follow the paper's Table 2 rule over numScripts and the
+// corpus's unique edges.
+func newSystem(cc *core.CuratedCorpus, numScripts int, opts Options) *System {
 	cfg := core.DefaultConfig()
 	cfg.SeqLength = opts.SeqLength
 	cfg.BeamSize = opts.BeamSize
+	if opts.Auto {
+		cfg.SeqLength, cfg.BeamSize = core.AutoConfig(numScripts, cc.Vocab.NumUniqueEdges())
+	}
 	cfg.Diversity = !opts.DisableDiversity
 	cfg.EarlyCheck = !opts.LateCheck
 	cfg.Seed = opts.Seed
@@ -537,12 +548,7 @@ func NewSystem(corpus []*Script, sources map[string]*Frame, opts Options) (*Syst
 	cfg.Limits = opts.ExecLimits
 	cfg.Faults = opts.Faults
 	cfg.Constraint = opts.constraint()
-	std := core.NewWeighted(corpus, opts.Weights, sources, cfg)
-	if opts.Auto {
-		seq, k := core.AutoConfig(len(corpus), std.Corpus.Vocab.NumUniqueEdges())
-		std.Config.SeqLength, std.Config.BeamSize = seq, k
-	}
-	return &System{std: std, timeout: opts.Timeout, batchWorkers: opts.BatchWorkers}, nil
+	return &System{std: core.FromCorpus(cc, cfg), timeout: opts.Timeout, batchWorkers: opts.BatchWorkers}
 }
 
 // Standardize returns the standardized version of the input script. It is
@@ -680,15 +686,9 @@ func (s *System) toResult(res *core.Result) *Result {
 }
 
 // ParetoPoint is one point of the intent-threshold / standardness
-// trade-off curve.
-type ParetoPoint struct {
-	// Tau is the intent threshold explored.
-	Tau float64
-	// ImprovementPct is the standardness improvement achievable at Tau.
-	ImprovementPct float64
-	// IntentValue is the measured intent value of the accepted output.
-	IntentValue float64
-}
+// trade-off curve: the threshold explored (Tau), the standardness
+// improvement achievable at it, and the measured intent value.
+type ParetoPoint = core.ParetoPoint
 
 // ParetoFrontier explores several intent thresholds with a single beam
 // search, returning the achievable improvement at each (Section 8's
@@ -706,15 +706,7 @@ func (s *System) ParetoFrontier(input *Script, taus []float64) ([]ParetoPoint, e
 func (s *System) ParetoFrontierContext(ctx context.Context, input *Script, taus []float64) ([]ParetoPoint, error) {
 	ctx, cancel := s.searchContext(ctx)
 	defer cancel()
-	pts, err := s.std.ParetoFrontierContext(ctx, input, taus)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ParetoPoint, len(pts))
-	for i, p := range pts {
-		out[i] = ParetoPoint{Tau: p.Tau, ImprovementPct: p.ImprovementPct, IntentValue: p.IntentValue}
-	}
-	return out, nil
+	return s.std.ParetoFrontierContext(ctx, input, taus)
 }
 
 // CorpusStats summarizes the curated search space.
@@ -755,55 +747,29 @@ func (s *System) Stats() CorpusStats {
 // immutable, so the System stays valid even as the registry itself moves
 // to newer versions.
 func NewSystemFromRegistry(reg *registry.Registry, sources map[string]*Frame, opts Options) (*System, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	vocab := reg.Vocab()
-	placeholder, err := ParseScript("import pandas as pd")
-	if err != nil {
-		return nil, err
-	}
-	sys, err := NewSystem([]*Script{placeholder}, sources, opts)
-	if err != nil {
-		return nil, err
-	}
-	sys.std.Corpus.Vocab = vocab
-	sys.std.Corpus.Version = reg.Version()
-	if opts.Auto {
-		seq, k := core.AutoConfig(vocab.NumScripts, vocab.NumUniqueEdges())
-		sys.std.Config.SeqLength, sys.std.Config.BeamSize = seq, k
-	}
-	return sys, nil
+	cc := &core.CuratedCorpus{Vocab: vocab, Sources: sources, Version: reg.Version()}
+	return newSystem(cc, vocab.NumScripts, opts.resolved()), nil
 }
 
 // CorpusVersion reports the registry snapshot version this System's corpus
 // came from, 0 when the corpus was curated in-process and never versioned.
 func (s *System) CorpusVersion() int64 { return s.std.Corpus.Version }
 
-// Anomaly flags one out-of-the-ordinary step of a script.
-type Anomaly struct {
-	// Line is the 1-based position in the lemmatized script.
-	Line int
-	// Source is the canonical step text.
-	Source string
-	// CorpusFrequency is the fraction of corpus scripts using the step.
-	CorpusFrequency float64
-	// REGain is the standardness gain from removing just this step.
-	REGain float64
-}
+// Anomaly flags one out-of-the-ordinary step of a script: its 1-based
+// line in the lemmatized script, the canonical step text, the fraction of
+// corpus scripts using it, and the standardness gain from removing it.
+type Anomaly = core.Anomaly
 
 // DetectAnomalies lists the script's steps used by fewer than maxFrequency
 // of corpus scripts (0 selects the default 0.1), ordered by the standardness
 // gain their removal would yield — the read-only "identify anomalous data
 // preparation steps" usage of Section 6.6.
 func (s *System) DetectAnomalies(sc *Script, maxFrequency float64) []Anomaly {
-	var out []Anomaly
-	for _, a := range s.std.DetectAnomalies(sc, maxFrequency) {
-		out = append(out, Anomaly{
-			Line:            a.Line,
-			Source:          a.Source,
-			CorpusFrequency: a.CorpusFrequency,
-			REGain:          a.REGain,
-		})
-	}
-	return out
+	return s.std.DetectAnomalies(sc, maxFrequency)
 }
 
 // AnomalyReport renders DetectAnomalies as a human-readable block.
