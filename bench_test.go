@@ -217,9 +217,10 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 }
 
 // benchStandardizeTitanic runs the seed Titanic workload end to end with
-// the execution-prefix cache on or off; the pair quantifies the tentpole
-// speedup (see DESIGN.md "Execution caching" for recorded numbers).
-func benchStandardizeTitanic(b *testing.B, disableCache bool) {
+// the execution-prefix cache (core.Config.ExecCache) on or off; the pair
+// quantifies the cache's speedup (see DESIGN.md "Execution caching" for
+// recorded numbers).
+func benchStandardizeTitanic(b *testing.B, cache bool) {
 	c, err := corpusgen.Get("Titanic")
 	if err != nil {
 		b.Fatal(err)
@@ -235,29 +236,25 @@ func benchStandardizeTitanic(b *testing.B, disableCache bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh System per iteration so each run starts with a cold cache
-		// (the cache lives for one StandardizeGrid call anyway).
-		sys, err := NewSystem(scripts[1:], gen.Sources, Options{
-			SeqLength:        8,
-			Tau:              0.5,
-			DisableExecCache: disableCache,
-		})
+		// A fresh Standardizer per iteration so each run starts with a cold
+		// cache (the cache lives for one StandardizeGrid call anyway).
+		cfg := core.DefaultConfig()
+		cfg.SeqLength = 8
+		cfg.Constraint.Tau = 0.5
+		cfg.ExecCache = cache
+		res, err := core.New(scripts[1:], gen.Sources, cfg).Standardize(input)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sys.Standardize(input)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !disableCache && res.ExecCache.StmtsSkipped == 0 {
+		if cache && res.CacheStats.StmtsSkipped == 0 {
 			b.Fatal("exec cache reported no skipped statements")
 		}
 	}
 }
 
-func BenchmarkStandardizeExecCacheOn(b *testing.B) { benchStandardizeTitanic(b, false) }
+func BenchmarkStandardizeExecCacheOn(b *testing.B) { benchStandardizeTitanic(b, true) }
 
-func BenchmarkStandardizeExecCacheOff(b *testing.B) { benchStandardizeTitanic(b, true) }
+func BenchmarkStandardizeExecCacheOff(b *testing.B) { benchStandardizeTitanic(b, false) }
 
 // batchBenchJobs builds the shared fixture for the batch benchmarks: a
 // Titanic corpus plus a set of jobs sampled from it.

@@ -18,7 +18,7 @@ import (
 
 	"lucidscript/internal/bench"
 	"lucidscript/internal/bench/serveexp"
-	"lucidscript/internal/interp"
+	"lucidscript/internal/cliflags"
 	"lucidscript/internal/obs"
 )
 
@@ -33,14 +33,12 @@ func main() {
 		seq         = flag.Int("seq", 0, "override sequence length (0 = default 16)")
 		beam        = flag.Int("beam", 0, "override beam size (0 = default 3)")
 		datasets    = flag.String("datasets", "", "comma-separated dataset subset (default all six)")
-		execCache   = flag.String("execcache", "on", "execution-prefix cache: on or off")
-		maxCells    = flag.Int("max-cells", 0, "cap rows*cols of any value a candidate materializes (0 = governor off; setting this or -max-steps enables default budgets for the rest)")
-		maxSteps    = flag.Int("max-steps", 0, "cap statements per candidate execution (0 = governor off)")
 		batchWork   = flag.Int("batch-workers", 0, "worker pool size for the batch experiment (0 = GOMAXPROCS)")
 		jsonPath    = flag.String("json", "", "also write machine-readable records (batch, serve, route, curate, regress experiments) to this JSON file")
 		quiet       = flag.Bool("q", false, "suppress progress output")
 		trace       = flag.Bool("trace", false, "stream structured search events to stderr")
 		metricsDump = flag.Bool("metrics-dump", false, "print cumulative search counters in Prometheus text format to stderr on exit")
+		budgets     = cliflags.RegisterBudgets(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -54,10 +52,6 @@ func main() {
 		return
 	}
 
-	if *execCache != "on" && *execCache != "off" {
-		fmt.Fprintf(os.Stderr, "lsbench: -execcache must be on or off, got %q\n", *execCache)
-		os.Exit(2)
-	}
 	opts := bench.Options{
 		Seed:              *seed,
 		RowScale:          *rowScale,
@@ -65,19 +59,9 @@ func main() {
 		ScriptsPerDataset: *scripts,
 		SeqLength:         *seq,
 		BeamSize:          *beam,
-		DisableExecCache:  *execCache == "off",
 		BatchWorkers:      *batchWork,
 		JSONPath:          *jsonPath,
-	}
-	if *maxCells > 0 || *maxSteps > 0 {
-		limits := interp.DefaultLimits()
-		if *maxCells > 0 {
-			limits.MaxCells = *maxCells
-		}
-		if *maxSteps > 0 {
-			limits.MaxSteps = *maxSteps
-		}
-		opts.Limits = limits
+		Limits:            budgets.Limits(),
 	}
 	if *datasets != "" {
 		opts.Datasets = strings.Split(*datasets, ",")

@@ -14,30 +14,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
-	"lucidscript/internal/frame"
+	"lucidscript"
 	"lucidscript/internal/interp"
-	"lucidscript/internal/script"
 )
-
-type stringList []string
-
-func (s *stringList) String() string { return fmt.Sprint(*s) }
-
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
 
 func main() {
 	var (
 		scriptPath = flag.String("script", "", "path to the LSL script (required)")
 		head       = flag.Int("head", 0, "print only the first N rows (0 = all)")
 		seed       = flag.Int64("seed", 1, "seed for df.sample")
-		dataPaths  stringList
+		dataPaths  []string
 	)
-	flag.Var(&dataPaths, "data", "CSV data file (repeatable)")
+	flag.Func("data", "CSV data file (repeatable)", func(v string) error {
+		dataPaths = append(dataPaths, v)
+		return nil
+	})
 	flag.Parse()
 
 	if *scriptPath == "" || len(dataPaths) == 0 {
@@ -48,17 +40,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	s, err := script.Parse(string(srcBytes))
+	s, err := lucidscript.ParseScript(string(srcBytes))
 	if err != nil {
 		fatal(err)
 	}
-	sources := map[string]*frame.Frame{}
-	for _, p := range dataPaths {
-		f, err := frame.ReadCSVFile(p)
-		if err != nil {
-			fatal(fmt.Errorf("loading %s: %w", p, err))
-		}
-		sources[filepath.Base(p)] = f
+	sources, err := lucidscript.ReadSources(dataPaths)
+	if err != nil {
+		fatal(err)
 	}
 	res, err := interp.Run(s, sources, interp.Options{Seed: *seed})
 	if err != nil {

@@ -60,33 +60,15 @@ import (
 	"time"
 
 	"lucidscript"
+	"lucidscript/internal/cliflags"
 	"lucidscript/internal/registry"
 	"lucidscript/internal/serve"
 )
-
-type stringList []string
-
-func (s *stringList) String() string { return fmt.Sprint(*s) }
-
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
 
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		corpusDir    = flag.String("corpus", "", "corpus directory for the single-dataset shorthand (with -data)")
-		measure      = flag.String("measure", "jaccard", "user-intent measure: jaccard, row-jaccard, emd or model (fairness needs a protected column, which no flag sets)")
-		tau          = flag.Float64("tau", 0, "intent threshold (default 0.9 jaccard / 1% model)")
-		target       = flag.String("target", "", "label column (required for -measure model)")
-		seq          = flag.Int("seq", 0, "max transformations (default 16)")
-		beam         = flag.Int("beam", 0, "beam size (default 3)")
-		auto         = flag.Bool("auto", false, "derive seq/beam from corpus statistics (Table 2)")
-		seed         = flag.Int64("seed", 1, "random seed")
-		execCache    = flag.String("execcache", "on", "execution-prefix cache: on or off")
-		maxCells     = flag.Int("max-cells", 0, "cap rows*cols of any value a candidate materializes (0 = governor off)")
-		maxSteps     = flag.Int("max-steps", 0, "cap statements per candidate execution (0 = governor off)")
 		searchWork   = flag.Int("workers", 0, "beam-search workers inside each job (default 1)")
 		serveWorkers = flag.Int("serve-workers", 0, "concurrent jobs per dataset (default GOMAXPROCS)")
 		queueDepth   = flag.Int("queue-depth", 0, "queued jobs per dataset before 429s (default 2x serve-workers)")
@@ -99,11 +81,19 @@ func main() {
 		adminToken   = flag.String("admin-token", "", "bearer token for admin endpoints (corpus reload); empty disables them")
 		snapEvery    = flag.Int("snapshot-every", 0, "WAL appends between job-store snapshots (default 512; needs -data-dir)")
 		maxRows      = flag.Int("max-rows", 0, "row cap on the sampled sources candidates execute and verify against; only the output hash reads the full data (0 = default 50000, negative = no sampling)")
-		dataPaths    stringList
-		datasetSpecs stringList
+		search       = cliflags.RegisterSearch(flag.CommandLine)
+		budgets      = cliflags.RegisterBudgets(flag.CommandLine)
+		dataPaths    []string
+		datasetSpecs []string
 	)
-	flag.Var(&dataPaths, "data", "CSV data file for the single-dataset shorthand (repeatable)")
-	flag.Var(&datasetSpecs, "dataset", "hosted dataset spec: name=corpusDir,data.csv[,more.csv] (repeatable)")
+	flag.Func("data", "CSV data file for the single-dataset shorthand (repeatable)", func(v string) error {
+		dataPaths = append(dataPaths, v)
+		return nil
+	})
+	flag.Func("dataset", "hosted dataset spec: name=corpusDir,data.csv[,more.csv] (repeatable)", func(v string) error {
+		datasetSpecs = append(datasetSpecs, v)
+		return nil
+	})
 	flag.Parse()
 
 	if *corpusDir == "" && len(datasetSpecs) == 0 {
@@ -139,30 +129,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "lsserved: listening on %s (booting)\n", *addr)
 
 	metrics := lucidscript.NewMetrics()
-	opts := lucidscript.Options{
-		SeqLength:        *seq,
-		BeamSize:         *beam,
-		Measure:          lucidscript.IntentMeasure(*measure),
-		Tau:              *tau,
-		TargetColumn:     *target,
-		Auto:             *auto,
-		Seed:             *seed,
-		Workers:          *searchWork,
-		MaxRows:          *maxRows,
-		DisableExecCache: *execCache == "off",
-		Timeout:          *jobTimeout,
-		Metrics:          metrics,
-	}
-	if *maxCells > 0 || *maxSteps > 0 {
-		limits := lucidscript.DefaultExecLimits()
-		if *maxCells > 0 {
-			limits.MaxCells = *maxCells
-		}
-		if *maxSteps > 0 {
-			limits.MaxSteps = *maxSteps
-		}
-		opts.ExecLimits = limits
-	}
+	opts := search.Options()
+	opts.Workers = *searchWork
+	opts.MaxRows = *maxRows
+	opts.Timeout = *jobTimeout
+	opts.Metrics = metrics
+	opts.ExecLimits = budgets.Limits()
 
 	systems := map[string]*lucidscript.System{}
 	reloaders := map[string]serve.Reloader{}
@@ -245,13 +217,9 @@ func buildDataset(spec string, opts lucidscript.Options, registryBase string) (s
 	if len(parts) < 2 {
 		return "", nil, nil, fmt.Errorf("bad -dataset %q: want name=corpusDir,data.csv[,more.csv]", spec)
 	}
-	sources := map[string]*lucidscript.Frame{}
-	for _, p := range parts[1:] {
-		f, err := lucidscript.ReadCSVFile(p)
-		if err != nil {
-			return "", nil, nil, fmt.Errorf("dataset %q: loading %s: %w", name, p, err)
-		}
-		sources[filepath.Base(p)] = f
+	sources, err := lucidscript.ReadSources(parts[1:])
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("dataset %q: %w", name, err)
 	}
 
 	if registryBase == "" {
@@ -271,26 +239,16 @@ func buildDataset(spec string, opts lucidscript.Options, registryBase string) (s
 	}
 
 	regDir := filepath.Join(registryBase, name)
-	var reg *registry.Registry
-	if registry.IsInitialized(regDir) {
-		var err error
-		reg, err = registry.Open(regDir)
-		if err != nil {
-			return "", nil, nil, fmt.Errorf("dataset %q: opening registry %s: %w", name, regDir, err)
-		}
-		fmt.Fprintf(os.Stderr, "lsserved: dataset %q warm-booting from registry %s (v%d)\n",
-			name, regDir, reg.Version())
-	} else {
-		members, err := registry.ReadDir(parts[0])
-		if err != nil {
-			return "", nil, nil, fmt.Errorf("dataset %q: %w", name, err)
-		}
-		reg, err = registry.Create(regDir, members)
-		if err != nil {
-			return "", nil, nil, fmt.Errorf("dataset %q: creating registry %s: %w", name, regDir, err)
-		}
+	reg, created, err := registry.OpenOrCreate(regDir, parts[0])
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("dataset %q: registry %s: %w", name, regDir, err)
+	}
+	if created {
 		fmt.Fprintf(os.Stderr, "lsserved: dataset %q curated %d scripts into registry %s (v%d)\n",
 			name, reg.NumScripts(), regDir, reg.Version())
+	} else {
+		fmt.Fprintf(os.Stderr, "lsserved: dataset %q warm-booting from registry %s (v%d)\n",
+			name, regDir, reg.Version())
 	}
 	sys, err := lucidscript.NewSystemFromRegistry(reg, sources, opts)
 	if err != nil {

@@ -45,17 +45,9 @@ import (
 	"time"
 
 	"lucidscript"
+	"lucidscript/internal/cliflags"
 	"lucidscript/internal/registry"
 )
-
-type stringList []string
-
-func (s *stringList) String() string { return fmt.Sprint(*s) }
-
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
 
 func main() {
 	var (
@@ -64,24 +56,19 @@ func main() {
 		batchWork   = flag.Int("batch-workers", 0, "worker pool size for -jobs (0 = GOMAXPROCS)")
 		corpusDir   = flag.String("corpus", "", "directory of corpus scripts (required unless -registry-dir)")
 		registryDir = flag.String("registry-dir", "", "corpus-registry directory: warm-load the curated state; with -corpus, diff the directory against the registry and publish a new version incrementally")
-		measure     = flag.String("measure", "jaccard", "user-intent measure: jaccard, row-jaccard, emd or model (fairness needs a protected column, which no flag sets)")
-		tau         = flag.Float64("tau", 0, "intent threshold (default 0.9 jaccard / 1% model)")
-		target      = flag.String("target", "", "label column (required for -measure model)")
-		seq         = flag.Int("seq", 0, "max transformations (default 16)")
-		beam        = flag.Int("beam", 0, "beam size (default 3)")
-		auto        = flag.Bool("auto", false, "derive seq/beam from corpus statistics (Table 2)")
 		lint        = flag.Bool("lint", false, "only report out-of-the-ordinary steps, do not transform")
 		lintFreq    = flag.Float64("lint-freq", 0.1, "flag steps used by fewer than this fraction of corpus scripts")
-		seed        = flag.Int64("seed", 1, "random seed")
-		execCache   = flag.String("execcache", "on", "execution-prefix cache: on or off (results are identical either way)")
-		maxCells    = flag.Int("max-cells", 0, "cap rows*cols of any value a candidate materializes (0 = governor off; setting this or -max-steps enables default budgets for the rest)")
-		maxSteps    = flag.Int("max-steps", 0, "cap statements per candidate execution (0 = governor off)")
 		timeout     = flag.Duration("timeout", 0, "abort the search after this duration, keeping the best partial result (e.g. 30s; 0 = no limit)")
 		trace       = flag.Bool("trace", false, "stream structured search events to stderr")
 		metricsDump = flag.Bool("metrics-dump", false, "print search counters in Prometheus text format to stderr on exit")
-		dataPaths   stringList
+		search      = cliflags.RegisterSearch(flag.CommandLine)
+		budgets     = cliflags.RegisterBudgets(flag.CommandLine)
+		dataPaths   []string
 	)
-	flag.Var(&dataPaths, "data", "CSV data file (repeatable)")
+	flag.Func("data", "CSV data file (repeatable)", func(v string) error {
+		dataPaths = append(dataPaths, v)
+		return nil
+	})
 	flag.Parse()
 
 	if (*scriptPath == "" && *jobsGlob == "") || (*corpusDir == "" && *registryDir == "") || len(dataPaths) == 0 {
@@ -90,10 +77,6 @@ func main() {
 	}
 	if *lint && *scriptPath == "" {
 		fmt.Fprintln(os.Stderr, "lsstd: -lint needs -script, not -jobs")
-		os.Exit(2)
-	}
-	if *execCache != "on" && *execCache != "off" {
-		fmt.Fprintf(os.Stderr, "lsstd: -execcache must be on or off, got %q\n", *execCache)
 		os.Exit(2)
 	}
 
@@ -109,37 +92,15 @@ func main() {
 		}
 	}
 
-	sources := map[string]*lucidscript.Frame{}
-	for _, p := range dataPaths {
-		f, err := lucidscript.ReadCSVFile(p)
-		if err != nil {
-			fatal(fmt.Errorf("loading %s: %w", p, err))
-		}
-		sources[filepath.Base(p)] = f
+	sources, err := lucidscript.ReadSources(dataPaths)
+	if err != nil {
+		fatal(err)
 	}
 
-	opts := lucidscript.Options{
-		SeqLength:        *seq,
-		BeamSize:         *beam,
-		Measure:          lucidscript.IntentMeasure(*measure),
-		Tau:              *tau,
-		TargetColumn:     *target,
-		Auto:             *auto,
-		Seed:             *seed,
-		DisableExecCache: *execCache == "off",
-		Timeout:          *timeout,
-		BatchWorkers:     *batchWork,
-	}
-	if *maxCells > 0 || *maxSteps > 0 {
-		limits := lucidscript.DefaultExecLimits()
-		if *maxCells > 0 {
-			limits.MaxCells = *maxCells
-		}
-		if *maxSteps > 0 {
-			limits.MaxSteps = *maxSteps
-		}
-		opts.ExecLimits = limits
-	}
+	opts := search.Options()
+	opts.Timeout = *timeout
+	opts.BatchWorkers = *batchWork
+	opts.ExecLimits = budgets.Limits()
 	if *trace {
 		opts.Tracer = lucidscript.NewWriterTracer(os.Stderr)
 	}
@@ -150,7 +111,7 @@ func main() {
 	}
 	var sys *lucidscript.System
 	if *registryDir != "" {
-		reg, err := syncRegistry(*registryDir, *corpusDir)
+		reg, err := openRegistry(*registryDir, *corpusDir)
 		if err != nil {
 			fatal(err)
 		}
@@ -220,13 +181,11 @@ func main() {
 	for _, tr := range res.Transformations {
 		fmt.Fprintln(os.Stderr, "  "+tr)
 	}
-	if *execCache == "on" {
-		ec := res.ExecCache
-		fmt.Fprintf(os.Stderr,
-			"exec cache: %d hits, %d misses, %d evictions; %d statements executed, %d skipped, ~%s exec time saved\n",
-			ec.Hits, ec.Misses, ec.Evictions, ec.StmtsExecuted, ec.StmtsSkipped,
-			ec.EstSavedTime.Round(time.Millisecond))
-	}
+	ec := res.ExecCache
+	fmt.Fprintf(os.Stderr,
+		"exec cache: %d hits, %d misses, %d evictions; %d statements executed, %d skipped, ~%s exec time saved\n",
+		ec.Hits, ec.Misses, ec.Evictions, ec.StmtsExecuted, ec.StmtsSkipped,
+		ec.EstSavedTime.Round(time.Millisecond))
 	reportHealth("lsstd", res.Health)
 	fmt.Fprintf(os.Stderr, "time: %s total (%s search, %s verify)\n",
 		res.Timings.Total.Round(time.Millisecond),
@@ -316,33 +275,24 @@ func dumpMetrics(m *lucidscript.Metrics) {
 	}
 }
 
-// syncRegistry opens (or creates) the corpus registry at regDir and, when
-// a corpus directory is also given, reconciles the registry against it:
-// scripts new to the directory are added, scripts that vanished are
-// removed, and scripts whose content changed are replaced — one
-// incremental Apply + Publish instead of a from-scratch curation. With no
-// corpus directory the registry is warm-loaded as-is.
-func syncRegistry(regDir, corpusDir string) (*registry.Registry, error) {
-	if !registry.IsInitialized(regDir) {
-		if corpusDir == "" {
-			return nil, fmt.Errorf("registry %s is empty; pass -corpus to seed it", regDir)
-		}
-		members, err := registry.ReadDir(corpusDir)
-		if err != nil {
-			return nil, err
-		}
-		reg, err := registry.Create(regDir, members)
-		if err != nil {
-			return nil, err
-		}
+// openRegistry opens (or, from the corpus directory, creates) the corpus
+// registry at regDir. When a corpus directory accompanies an existing
+// registry, the registry is synced to it: only the scripts that were
+// added, removed or changed are re-curated, and any change is published as
+// a new version. With no corpus directory the registry is warm-loaded
+// as-is.
+func openRegistry(regDir, corpusDir string) (*registry.Registry, error) {
+	reg, created, err := registry.OpenOrCreate(regDir, corpusDir)
+	if errors.Is(err, registry.ErrNoCorpus) {
+		return nil, fmt.Errorf("registry %s is empty; pass -corpus to seed it", regDir)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if created {
 		fmt.Fprintf(os.Stderr, "registry %s: curated %d scripts, published v%d\n",
 			regDir, reg.NumScripts(), reg.Version())
 		return reg, nil
-	}
-
-	reg, err := registry.Open(regDir)
-	if err != nil {
-		return nil, err
 	}
 	for _, d := range reg.Diagnostics() {
 		fmt.Fprintln(os.Stderr, "registry:", d)
@@ -352,61 +302,21 @@ func syncRegistry(regDir, corpusDir string) (*registry.Registry, error) {
 			regDir, reg.Version(), reg.NumScripts())
 		return reg, nil
 	}
-
 	want, err := registry.ReadDir(corpusDir)
 	if err != nil {
 		return nil, err
 	}
-	have, err := reg.Members()
+	added, removed, err := reg.Sync(want)
 	if err != nil {
 		return nil, err
 	}
-	haveByID := make(map[string]registry.Script, len(have))
-	for _, m := range have {
-		haveByID[m.ID] = m
-	}
-	var add, remove []registry.Script
-	for _, m := range want {
-		// The registry normalizes non-positive weights to 1 on ingest;
-		// mirror that so an unchanged directory diffs clean.
-		wantWeight := m.Weight
-		if wantWeight <= 0 {
-			wantWeight = 1
-		}
-		prev, ok := haveByID[m.ID]
-		if !ok {
-			add = append(add, m)
-		} else if prev.Source != m.Source || prev.Weight != wantWeight {
-			remove = append(remove, prev)
-			add = append(add, m)
-		}
-		delete(haveByID, m.ID)
-	}
-	// Anything still in haveByID was never matched by the directory scan.
-	for _, m := range have {
-		if _, unmatched := haveByID[m.ID]; unmatched {
-			remove = append(remove, m)
-		}
-	}
-	if len(add) == 0 && len(remove) == 0 {
+	if added == 0 && removed == 0 {
 		fmt.Fprintf(os.Stderr, "registry %s: up to date at v%d (%d scripts)\n",
 			regDir, reg.Version(), reg.NumScripts())
 		return reg, nil
 	}
-	// Replaced scripts appear in both lists; Apply validates adds against
-	// the pre-remove membership, so tombstone first, then add.
-	if err := reg.Apply(nil, remove); err != nil {
-		return nil, err
-	}
-	if err := reg.Apply(add, nil); err != nil {
-		return nil, err
-	}
-	v, err := reg.Publish()
-	if err != nil {
-		return nil, err
-	}
 	fmt.Fprintf(os.Stderr, "registry %s: +%d -%d scripts, published v%d (%d live)\n",
-		regDir, len(add), len(remove), v, reg.NumScripts())
+		regDir, added, removed, reg.Version(), reg.NumScripts())
 	return reg, nil
 }
 

@@ -38,9 +38,6 @@ type Options struct {
 	SeqLength, BeamSize int
 	// Datasets restricts the competitions (default: all six).
 	Datasets []string
-	// DisableExecCache turns off the execution-prefix cache (the zero
-	// value keeps it on, matching core.DefaultConfig).
-	DisableExecCache bool
 	// Limits, when non-nil, installs the per-execution resource governor
 	// on every standardization the experiments run.
 	Limits *interp.Limits
@@ -182,7 +179,6 @@ func (g *genCache) get(name string) (*corpusgen.Generated, error) {
 func lsConfig(opts Options, measure intent.Measure, tau float64, target string) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = opts.Seed
-	cfg.ExecCache = !opts.DisableExecCache
 	cfg.Limits = opts.Limits
 	cfg.Tracer = opts.Tracer
 	cfg.Metrics = opts.Metrics

@@ -166,13 +166,12 @@ func setup(opts bench.Options) (bench.Options, int) {
 // experiments build.
 func systemOptions(opts bench.Options, workers int) lucidscript.Options {
 	return lucidscript.Options{
-		Seed:             opts.Seed,
-		SeqLength:        opts.SeqLength,
-		BeamSize:         opts.BeamSize,
-		Measure:          lucidscript.IntentMeasure("jaccard"),
-		Tau:              0.8,
-		DisableExecCache: opts.DisableExecCache,
-		BatchWorkers:     workers,
+		Seed:         opts.Seed,
+		SeqLength:    opts.SeqLength,
+		BeamSize:     opts.BeamSize,
+		Measure:      lucidscript.IntentMeasure("jaccard"),
+		Tau:          0.8,
+		BatchWorkers: workers,
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -143,50 +142,4 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// expvar publication: expvar.Publish panics on duplicate names, so the
-// package tracks which registry owns each published name.
-var (
-	publishMu sync.Mutex
-	published = map[string]*Metrics{}
-)
-
-// Publish exposes the registry on the process's expvar page under the given
-// name (e.g. "lucidscript") as a map of metric name → value. Re-publishing
-// the same registry under the same name is a no-op, so several Systems can
-// share one exported registry; publishing a different registry under a
-// taken name returns an error.
-func (m *Metrics) Publish(name string) error {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if prev, ok := published[name]; ok {
-		if prev == m {
-			return nil
-		}
-		return fmt.Errorf("obs: expvar name %q already published by another registry", name)
-	}
-	expvar.Publish(name, expvar.Func(func() interface{} {
-		_, vals := m.snapshot()
-		return vals
-	}))
-	published[name] = m
-	return nil
-}
-
-// defaultMetrics is the process-wide registry behind Default().
-var (
-	defaultOnce    sync.Once
-	defaultMetrics *Metrics
-)
-
-// Default returns the process-wide shared registry, published via expvar
-// under "lucidscript" on first use.
-func Default() *Metrics {
-	defaultOnce.Do(func() {
-		defaultMetrics = NewMetrics()
-		// The name is reserved on first call; an error is impossible here.
-		_ = defaultMetrics.Publish("lucidscript")
-	})
-	return defaultMetrics
 }

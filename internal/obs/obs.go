@@ -1,7 +1,7 @@
 // Package obs provides structured observability for the standardization
 // pipeline: a Tracer interface that receives search events with monotonic
-// per-phase timings, and an atomic Metrics registry exported via expvar and
-// a Prometheus text dump.
+// per-phase timings, and an atomic Metrics registry exported as a
+// Prometheus text dump.
 //
 // Observability is strictly pay-for-what-you-use: a nil Tracer and a nil
 // *Metrics disable every emission at the call site, so the search hot path

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -91,38 +90,5 @@ func TestMetricsValueUnregistered(t *testing.T) {
 	}
 	if names := m.Names(); len(names) != 0 {
 		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestPublish(t *testing.T) {
-	m := NewMetrics()
-	m.Add(MSearches, 1)
-	if err := m.Publish("obs_test_metrics"); err != nil {
-		t.Fatal(err)
-	}
-	// Same registry, same name: no-op.
-	if err := m.Publish("obs_test_metrics"); err != nil {
-		t.Fatalf("re-publish same registry: %v", err)
-	}
-	// Different registry, same name: error, no panic.
-	if err := NewMetrics().Publish("obs_test_metrics"); err == nil {
-		t.Fatal("publishing a second registry under a taken name should fail")
-	}
-	v := expvar.Get("obs_test_metrics")
-	if v == nil {
-		t.Fatal("expvar.Get returned nil")
-	}
-	if !strings.Contains(v.String(), MSearches) {
-		t.Fatalf("expvar value missing counter: %s", v.String())
-	}
-}
-
-func TestDefaultRegistrySingleton(t *testing.T) {
-	if Default() != Default() {
-		t.Fatal("Default() not a singleton")
-	}
-	Default().Add(MSearches, 0) // must not panic, is published
-	if expvar.Get("lucidscript") == nil {
-		t.Fatal("default registry not published under lucidscript")
 	}
 }

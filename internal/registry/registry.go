@@ -259,11 +259,26 @@ func loadHeaderFile(path string) (*fileMeta, *entropy.Vocab, error) {
 	return readHeader(bufio.NewReaderSize(f, 1<<16))
 }
 
-// IsInitialized reports whether dir holds at least one corpus snapshot —
-// the daemons' "warm boot or cold seed?" probe.
-func IsInitialized(dir string) bool {
+// OpenOrCreate opens the registry in dir, or, when dir holds no snapshot
+// yet, curates the corpus directory corpusDir (see ReadDir) into it and
+// publishes version 1. created reports which happened. The corpus
+// directory is read only on creation, so a warm open costs what Open
+// costs. With no snapshot and corpusDir empty the error wraps ErrNoCorpus.
+func OpenOrCreate(dir, corpusDir string) (reg *Registry, created bool, err error) {
 	versions, err := listVersions(dir)
-	return err == nil && len(versions) > 0
+	if err != nil {
+		return nil, false, err
+	}
+	if len(versions) > 0 || corpusDir == "" {
+		reg, err = Open(dir)
+		return reg, false, err
+	}
+	members, err := ReadDir(corpusDir)
+	if err != nil {
+		return nil, false, err
+	}
+	reg, err = Create(dir, members)
+	return reg, err == nil, err
 }
 
 // Version is the corpus version this registry currently holds.
@@ -357,6 +372,65 @@ func (r *Registry) Apply(add, remove []Script) error {
 	return nil
 }
 
+// Sync makes the live membership equal to want, as read from a corpus
+// directory: members new to want are added, members missing from it are
+// removed, and members whose source or weight changed are replaced. Any
+// change is applied incrementally and published as one new version;
+// nothing changed publishes nothing. It returns how many members were
+// added and removed (a replaced member counts in both).
+func (r *Registry) Sync(want []Script) (added, removed int, err error) {
+	have, err := r.Members()
+	if err != nil {
+		return 0, 0, err
+	}
+	haveByID := make(map[string]Script, len(have))
+	for _, m := range have {
+		haveByID[m.ID] = m
+	}
+	var add, remove []Script
+	for _, m := range want {
+		prev, ok := haveByID[m.ID]
+		if !ok {
+			add = append(add, m)
+		} else if prev.Source != m.Source || prev.Weight != foldWeight(m.Weight) {
+			remove = append(remove, prev)
+			add = append(add, m)
+		}
+		delete(haveByID, m.ID)
+	}
+	// Anything still in haveByID is absent from want; walk have for a
+	// deterministic order.
+	for _, m := range have {
+		if _, gone := haveByID[m.ID]; gone {
+			remove = append(remove, m)
+		}
+	}
+	if len(add) == 0 && len(remove) == 0 {
+		return 0, 0, nil
+	}
+	// Replaced members are in both lists, and Apply checks adds against
+	// the membership before its removals, so tombstone first, then add.
+	if err := r.Apply(nil, remove); err != nil {
+		return 0, 0, err
+	}
+	if err := r.Apply(add, nil); err != nil {
+		return 0, 0, err
+	}
+	if _, err := r.Publish(); err != nil {
+		return 0, 0, err
+	}
+	return len(add), len(remove), nil
+}
+
+// foldWeight is the weight a member folds with: non-positive weights count
+// as 1, matching core.CurateWeighted.
+func foldWeight(w int) int {
+	if w <= 0 {
+		return 1
+	}
+	return w
+}
+
 // stage parses and lemmatizes scripts into records without touching the
 // registry, also rejecting duplicate ids within the batch itself.
 func (r *Registry) stage(scripts []Script) ([]*record, error) {
@@ -375,10 +449,7 @@ func (r *Registry) stage(scripts []Script) ([]*record, error) {
 			return nil, err
 		}
 		g := dag.Build(parsed)
-		w := s.Weight
-		if w <= 0 {
-			w = 1
-		}
+		w := foldWeight(s.Weight)
 		rec := &record{id: s.ID, source: s.Source, weight: w, stats: entropy.StatsOf(g, w)}
 		staged = append(staged, rec)
 		for _, li := range g.Lines {
@@ -472,10 +543,7 @@ func (r *Registry) ensureLoadedLocked() error {
 			lineInfos[i] = atoms[k]
 			unigrams = append(unigrams, unigramMemo[k]...)
 		}
-		w := fs.Weight
-		if w <= 0 {
-			w = 1
-		}
+		w := foldWeight(fs.Weight)
 		rec := &record{
 			id:     fs.ID,
 			source: fs.Source,

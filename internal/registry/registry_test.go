@@ -163,6 +163,102 @@ func TestOpenNoCorpus(t *testing.T) {
 	}
 }
 
+// writeCorpusDir writes each source to dir/<id> and returns the directory.
+func writeCorpusDir(t *testing.T, dir string, files map[string]string) string {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+func TestOpenOrCreate(t *testing.T) {
+	regDir := filepath.Join(t.TempDir(), "reg")
+	if _, _, err := OpenOrCreate(regDir, ""); !errors.Is(err, ErrNoCorpus) {
+		t.Fatalf("no snapshot, no corpus: err = %v, want ErrNoCorpus", err)
+	}
+	bad := writeCorpusDir(t, filepath.Join(t.TempDir(), "bad"), map[string]string{
+		"a.ls": testSource(0), "z.py": "df = ???\n"})
+	if _, _, err := OpenOrCreate(regDir, bad); !errors.Is(err, ErrBadScript) || !strings.Contains(err.Error(), "z.py") {
+		t.Fatalf("corpus with a bad script: err = %v, want ErrBadScript naming z.py", err)
+	}
+
+	corpus := writeCorpusDir(t, filepath.Join(t.TempDir(), "corpus"), map[string]string{
+		"a.ls": testSource(0), "b.py": testSource(1), "c.ls": testSource(2)})
+	reg, created, err := OpenOrCreate(regDir, corpus)
+	if err != nil || !created {
+		t.Fatalf("first OpenOrCreate: created=%v err=%v, want a new registry", created, err)
+	}
+	if reg.Version() != 1 || reg.NumScripts() != 3 {
+		t.Fatalf("created version=%d scripts=%d, want 1/3", reg.Version(), reg.NumScripts())
+	}
+	// A warm open never reads the corpus directory, so a missing one is
+	// no obstacle.
+	warm, created, err := OpenOrCreate(regDir, filepath.Join(t.TempDir(), "missing"))
+	if err != nil || created {
+		t.Fatalf("second OpenOrCreate: created=%v err=%v, want a warm open", created, err)
+	}
+	if warm.Version() != 1 || !bytes.Equal(mustStateBytes(t, warm), mustStateBytes(t, reg)) {
+		t.Fatal("warm open does not hold the created state")
+	}
+}
+
+// TestSync: an unchanged directory publishes nothing, even though its
+// scripts carry weight 0 (which the registry stores as 1); a changed, an
+// added and a removed script together publish exactly one new version,
+// byte-identical to a from-scratch curation of the new membership.
+func TestSync(t *testing.T) {
+	corpus := writeCorpusDir(t, t.TempDir(), map[string]string{
+		"a.ls": testSource(0), "b.ls": testSource(1), "c.ls": testSource(2), "d.ls": testSource(3)})
+	regDir := t.TempDir()
+	reg, _, err := OpenOrCreate(regDir, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadDir(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added, removed, err := reg.Sync(want); err != nil || added != 0 || removed != 0 {
+		t.Fatalf("unchanged Sync = +%d -%d, %v; want no change", added, removed, err)
+	}
+	if versions, _ := listVersions(regDir); len(versions) != 1 || reg.Version() != 1 {
+		t.Fatalf("unchanged Sync published: versions %v, current v%d", versions, reg.Version())
+	}
+
+	writeCorpusDir(t, corpus, map[string]string{"b.ls": testSource(5), "e.ls": testSource(4)})
+	if err := os.Remove(filepath.Join(corpus, "c.ls")); err != nil {
+		t.Fatal(err)
+	}
+	if want, err = ReadDir(corpus); err != nil {
+		t.Fatal(err)
+	}
+	added, removed, err := reg.Sync(want)
+	if err != nil || added != 2 || removed != 2 {
+		t.Fatalf("Sync = +%d -%d, %v; want +2 -2 (b replaced, c removed, e added)", added, removed, err)
+	}
+	if versions, _ := listVersions(regDir); len(versions) != 2 || reg.Version() != 2 {
+		t.Fatalf("Sync published versions %v, current v%d; want exactly one new version", versions, reg.Version())
+	}
+	// Unchanged members keep their place; replacements and additions
+	// append in directory order.
+	oracle := oracleCreate(t, []Script{
+		{ID: "a.ls", Source: testSource(0)}, {ID: "d.ls", Source: testSource(3)},
+		{ID: "b.ls", Source: testSource(5)}, {ID: "e.ls", Source: testSource(4)}})
+	opened, err := Open(regDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustStateBytes(t, opened), mustStateBytes(t, oracle)) {
+		t.Fatal("synced registry diverged from from-scratch curation")
+	}
+}
+
 // TestIncrementalCurationEquivalence is the differential harness the
 // registry's central guarantee rests on: a seeded generative loop applies
 // random add/remove batches to one long-lived registry and, after every

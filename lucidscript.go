@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"runtime"
 	"time"
 
@@ -53,6 +54,21 @@ func ReadCSV(r io.Reader) (*Frame, error) { return frame.ReadCSV(r) }
 
 // ReadCSVFile loads a CSV file into a Frame.
 func ReadCSVFile(path string) (*Frame, error) { return frame.ReadCSVFile(path) }
+
+// ReadSources loads CSV files as a script's data sources, each keyed by its
+// base name, so pd.read_csv("diabetes.csv") resolves to a file passed as
+// /path/to/diabetes.csv.
+func ReadSources(paths []string) (map[string]*Frame, error) {
+	sources := make(map[string]*Frame, len(paths))
+	for _, p := range paths {
+		f, err := frame.ReadCSVFile(p)
+		if err != nil {
+			return nil, fmt.Errorf("loading %s: %w", p, err)
+		}
+		sources[filepath.Base(p)] = f
+	}
+	return sources, nil
+}
 
 // ExecLimits bounds the resources any single candidate execution may
 // consume: cells, rows, columns, and string bytes of any materialized value,
@@ -134,10 +150,6 @@ type Options struct {
 	SeqLength int
 	// BeamSize is the beam width K. 0 resolves to the default 3.
 	BeamSize int
-	// DisableDiversity turns off K-means transformation diversity.
-	DisableDiversity bool
-	// LateCheck defers execution checking to the end of the search.
-	LateCheck bool
 	// Measure selects the intent measure. "" resolves to IntentJaccard.
 	Measure IntentMeasure
 	// Tau is the intent threshold: minimum Jaccard in [0,1], maximum
@@ -171,10 +183,6 @@ type Options struct {
 	// independent of Workers, which parallelizes the beam search inside
 	// each job.
 	BatchWorkers int
-	// DisableExecCache turns off the execution-prefix cache that shares
-	// interpreter work across beam-search candidates. Results are identical
-	// either way; the cache only changes speed.
-	DisableExecCache bool
 	// Timeout bounds each Standardize/ParetoFrontier call; 0 means no
 	// limit. An expired timeout aborts the search mid-candidate and
 	// returns ErrDeadlineExceeded alongside a partial Result.
@@ -186,8 +194,7 @@ type Options struct {
 	Tracer Tracer
 	// Metrics, when non-nil, accumulates counters (statements executed,
 	// cache hits, beams pruned, verifications, per-phase wall clock)
-	// across every call on the System. Use NewMetrics for a private
-	// registry or DefaultMetrics for the process-wide expvar-published one.
+	// across every call on the System; make one with NewMetrics.
 	Metrics *Metrics
 	// ExecLimits, when non-nil, installs the per-execution resource
 	// governor: candidates whose execution would exceed a budget are
@@ -421,16 +428,11 @@ type CollectTracer = obs.CollectTracer
 func NewCollectTracer() *CollectTracer { return obs.NewCollectTracer() }
 
 // Metrics is an atomic registry of cumulative counters maintained by the
-// search (see Options.Metrics). Dump it with WritePrometheus or expose it
-// on the expvar page with Publish.
+// search (see Options.Metrics). Dump it with WritePrometheus.
 type Metrics = obs.Metrics
 
 // NewMetrics returns an empty private metrics registry.
 func NewMetrics() *Metrics { return obs.NewMetrics() }
-
-// DefaultMetrics returns the process-wide registry, published via expvar
-// under "lucidscript" on first use.
-func DefaultMetrics() *Metrics { return obs.Default() }
 
 // The metric names maintained by the search, re-exported for
 // Metrics.Value lookups. Prometheus dumps prefix each with "lucidscript_".
@@ -537,12 +539,9 @@ func newSystem(cc *core.CuratedCorpus, numScripts int, opts Options) *System {
 	if opts.Auto {
 		cfg.SeqLength, cfg.BeamSize = core.AutoConfig(numScripts, cc.Vocab.NumUniqueEdges())
 	}
-	cfg.Diversity = !opts.DisableDiversity
-	cfg.EarlyCheck = !opts.LateCheck
 	cfg.Seed = opts.Seed
 	cfg.MaxRows = opts.MaxRows
 	cfg.Workers = opts.Workers
-	cfg.ExecCache = !opts.DisableExecCache
 	cfg.Tracer = opts.Tracer
 	cfg.Metrics = opts.Metrics
 	cfg.Limits = opts.ExecLimits
