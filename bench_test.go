@@ -315,26 +315,3 @@ func BenchmarkStandardizeSequentialBaseline(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkStandardizeParallel(b *testing.B) {
-	gen, scripts := medicalFixture(b)
-	sys, err := NewSystem(scripts, gen.Sources, Options{SeqLength: 6, Tau: 0.5, Workers: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	input, err := ParseScript(`import pandas as pd
-df = pd.read_csv("diabetes.csv")
-df = df.fillna(df.median())
-df = pd.get_dummies(df)
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Standardize(input); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -274,6 +274,24 @@ func TestLSBenchCLIJSONWithoutRecords(t *testing.T) {
 	}
 }
 
+// TestCLINegativeSearchSize: a negative -seq or -beam is a usage error
+// (exit 2) in lsstd and in lsbench, not a default or a later failure.
+func TestCLINegativeSearchSize(t *testing.T) {
+	bin := buildCLIs(t)
+	_, csv, scriptPath, corpusDir := writeFixtures(t)
+	for _, args := range [][]string{
+		{"lsstd", "-script", scriptPath, "-corpus", corpusDir, "-data", csv, "-seq", "-1"},
+		{"lsbench", "-exp", "table2", "-q", "-seq", "-3"},
+		{"lsbench", "-exp", "table2", "-q", "-beam", "-3"},
+	} {
+		err := exec.Command(filepath.Join(bin, args[0]), args[1:]...).Run()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+			t.Errorf("%s: err %v, want exit status 2", strings.Join(args, " "), err)
+		}
+	}
+}
+
 // TestCorpusParseFailureCLI pins one policy for a corpus directory holding
 // a script that does not parse: every command that reads the directory
 // fails and names the file, rather than curating the rest.

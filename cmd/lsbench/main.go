@@ -30,8 +30,6 @@ func main() {
 		rowScale    = flag.Float64("rowscale", 0.02, "fraction of each competition's full tuple count")
 		minRows     = flag.Int("minrows", 240, "minimum rows per dataset")
 		scripts     = flag.Int("scripts", 6, "input scripts per dataset (leave-one-out cap)")
-		seq         = flag.Int("seq", 0, "override sequence length (0 = default 16)")
-		beam        = flag.Int("beam", 0, "override beam size (0 = default 3)")
 		datasets    = flag.String("datasets", "", "comma-separated dataset subset (default all six)")
 		batchWork   = flag.Int("batch-workers", 0, "worker pool size for the batch experiment (0 = GOMAXPROCS)")
 		jsonPath    = flag.String("json", "", "also write machine-readable records (batch, serve, route, curate, regress experiments) to this JSON file")
@@ -39,7 +37,10 @@ func main() {
 		trace       = flag.Bool("trace", false, "stream structured search events to stderr")
 		metricsDump = flag.Bool("metrics-dump", false, "print cumulative search counters in Prometheus text format to stderr on exit")
 		budgets     = cliflags.RegisterBudgets(flag.CommandLine)
+		seq, beam   int
 	)
+	flag.Func("seq", "override sequence length, not negative (0 = default 16)", cliflags.NonNegative(&seq))
+	flag.Func("beam", "override beam size, not negative (0 = default 3)", cliflags.NonNegative(&beam))
 	flag.Parse()
 
 	// The serve, route, and regress experiments need the facade, so they
@@ -57,8 +58,8 @@ func main() {
 		RowScale:          *rowScale,
 		MinRows:           *minRows,
 		ScriptsPerDataset: *scripts,
-		SeqLength:         *seq,
-		BeamSize:          *beam,
+		SeqLength:         seq,
+		BeamSize:          beam,
 		BatchWorkers:      *batchWork,
 		JSONPath:          *jsonPath,
 		Limits:            budgets.Limits(),

@@ -69,7 +69,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		corpusDir    = flag.String("corpus", "", "corpus directory for the single-dataset shorthand (with -data)")
-		searchWork   = flag.Int("workers", 0, "beam-search workers inside each job (default 1)")
 		serveWorkers = flag.Int("serve-workers", 0, "concurrent jobs per dataset (default GOMAXPROCS)")
 		queueDepth   = flag.Int("queue-depth", 0, "queued jobs per dataset before 429s (default 2x serve-workers)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job deadline (0 = none); jobs may lower it per request")
@@ -130,7 +129,6 @@ func main() {
 
 	metrics := lucidscript.NewMetrics()
 	opts := search.Options()
-	opts.Workers = *searchWork
 	opts.MaxRows = *maxRows
 	opts.Timeout = *jobTimeout
 	opts.Metrics = metrics

@@ -43,8 +43,8 @@ func RegisterSearch(fs *flag.FlagSet) *Search {
 		return nil
 	})
 	fs.StringVar(&s.target, "target", "", "label column (required for -measure model)")
-	fs.IntVar(&s.seq, "seq", 0, "max transformations (default 16)")
-	fs.IntVar(&s.beam, "beam", 0, "beam size (default 3)")
+	fs.Func("seq", "max transformations, not negative (default 16)", NonNegative(&s.seq))
+	fs.Func("beam", "beam size, not negative (default 3)", NonNegative(&s.beam))
 	fs.BoolVar(&s.auto, "auto", false, "derive seq/beam from corpus statistics (Table 2)")
 	fs.Int64Var(&s.seed, "seed", 1, "random seed")
 	return s
@@ -78,13 +78,14 @@ type Budgets struct {
 // RegisterBudgets declares -max-cells and -max-steps on fs.
 func RegisterBudgets(fs *flag.FlagSet) *Budgets {
 	b := &Budgets{}
-	fs.Func("max-cells", "cap rows*cols of any value a candidate materializes (0 = governor off; setting this or -max-steps enables default budgets for the rest)", nonNegative(&b.cells))
-	fs.Func("max-steps", "cap statements per candidate execution (0 = governor off; setting this or -max-cells enables default budgets for the rest)", nonNegative(&b.steps))
+	fs.Func("max-cells", "cap rows*cols of any value a candidate materializes (0 = governor off; setting this or -max-steps enables default budgets for the rest)", NonNegative(&b.cells))
+	fs.Func("max-steps", "cap statements per candidate execution (0 = governor off; setting this or -max-cells enables default budgets for the rest)", NonNegative(&b.steps))
 	return b
 }
 
-// nonNegative parses an int flag value into dst, rejecting negatives.
-func nonNegative(dst *int) func(string) error {
+// NonNegative returns a flag.Func parser that stores an int flag value in
+// dst and rejects negatives.
+func NonNegative(dst *int) func(string) error {
 	return func(v string) error {
 		n, err := strconv.ParseInt(v, 0, strconv.IntSize)
 		if err != nil {

@@ -80,6 +80,8 @@ func TestRejectedValues(t *testing.T) {
 		{"-max-cells", "-1"},
 		{"-max-steps", "-3"},
 		{"-max-steps", "1.5"},
+		{"-seq", "-1"},
+		{"-beam", "-3"},
 	} {
 		if _, _, err := parse(args...); err == nil {
 			t.Errorf("%v parsed without error", args)

@@ -78,27 +78,24 @@ func (c *cancelOnStep) Emit(e obs.Event) {
 }
 
 func TestStandardizeContextMidSearchCancel(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		ctx, cancel := context.WithCancel(context.Background())
-		cfg.Tracer = &cancelOnStep{step: 1, cancel: cancel}
-		st := newStandardizer(t, cfg)
-		res, err := st.StandardizeContext(ctx, script.MustParse(userScript))
-		cancel()
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
-		}
-		if res == nil {
-			t.Fatalf("workers=%d: mid-search cancel should return a partial result", workers)
-		}
-		// The partial result is the constraint-checked fallback: the input.
-		if res.ImprovementPct != 0 {
-			t.Fatalf("workers=%d: partial result claims improvement", workers)
-		}
-		if res.Timings.Total <= 0 {
-			t.Fatalf("workers=%d: partial result missing timings", workers)
-		}
+	cfg := DefaultConfig()
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg.Tracer = &cancelOnStep{step: 1, cancel: cancel}
+	st := newStandardizer(t, cfg)
+	res, err := st.StandardizeContext(ctx, script.MustParse(userScript))
+	cancel()
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if res == nil {
+		t.Fatal("mid-search cancel should return a partial result")
+	}
+	// The partial result is the constraint-checked fallback: the input.
+	if res.ImprovementPct != 0 {
+		t.Fatal("partial result claims improvement")
+	}
+	if res.Timings.Total <= 0 {
+		t.Fatal("partial result missing timings")
 	}
 }
 

@@ -43,12 +43,6 @@ type Config struct {
 	// deletes of corpus-unseen atom blocks by their full-block payoff
 	// (an extension beyond the paper; see DESIGN.md).
 	DisableLookahead bool
-	// Workers > 1 extends the beams of each search step concurrently
-	// (the parallelism the paper proposes in Section 6.5). Results are
-	// deterministic for a fixed configuration, but candidate de-duplication
-	// happens per beam rather than across beams, so outputs can differ
-	// slightly from the sequential search.
-	Workers int
 	// Seed drives sampling and any stochastic tie-breaking.
 	Seed int64
 	// ExecCache enables the prefix-memoized execution cache: candidate
@@ -109,9 +103,7 @@ func AutoConfig(numScripts, uniqueEdges int) (seq, beam int) {
 }
 
 // Timings is the per-phase wall-clock breakdown of one standardization,
-// the paper's Figure 7 decomposition. In parallel searches the per-phase
-// entries accumulate CPU time across workers, so their sum can exceed
-// Total.
+// the paper's Figure 7 decomposition.
 type Timings struct {
 	// CurateSearchSpace is the offline corpus-curation time (paid once per
 	// System and reported on every Result).

@@ -25,51 +25,46 @@ func titanicWorkload(t testing.TB) (*Standardizer, func(Config) *Standardizer, *
 	return build(DefaultConfig()), build, gen
 }
 
-// TestExecCacheEquivalence is the tentpole's acceptance check: with the
-// prefix cache on vs. off, and sequential vs. parallel extension, the output
+// TestExecCacheEquivalence: with the prefix cache on vs. off the output
 // script is byte-identical — and the cache cuts interpreter statement
 // executions by at least 2× on the Titanic workload.
 func TestExecCacheEquivalence(t *testing.T) {
 	_, build, gen := titanicWorkload(t)
 	input := gen.ScriptsOnly()[0]
-	for _, workers := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.SeqLength = 8
-		cfg.Workers = workers
+	cfg := DefaultConfig()
+	cfg.SeqLength = 8
 
-		on := cfg
-		on.ExecCache = true
-		off := cfg
-		off.ExecCache = false
+	on := cfg
+	on.ExecCache = true
+	off := cfg
+	off.ExecCache = false
 
-		resOn, err := build(on).Standardize(input)
-		if err != nil {
-			t.Fatalf("workers=%d cache on: %v", workers, err)
-		}
-		resOff, err := build(off).Standardize(input)
-		if err != nil {
-			t.Fatalf("workers=%d cache off: %v", workers, err)
-		}
-		if got, want := resOn.Output.Source(), resOff.Output.Source(); got != want {
-			t.Fatalf("workers=%d: cache changed the output\non:\n%s\noff:\n%s", workers, got, want)
-		}
-		if resOn.REAfter != resOff.REAfter || resOn.IntentValue != resOff.IntentValue {
-			t.Fatalf("workers=%d: cache changed scores: on=(%v,%v) off=(%v,%v)",
-				workers, resOn.REAfter, resOn.IntentValue, resOff.REAfter, resOff.IntentValue)
-		}
+	resOn, err := build(on).Standardize(input)
+	if err != nil {
+		t.Fatalf("cache on: %v", err)
+	}
+	resOff, err := build(off).Standardize(input)
+	if err != nil {
+		t.Fatalf("cache off: %v", err)
+	}
+	if got, want := resOn.Output.Source(), resOff.Output.Source(); got != want {
+		t.Fatalf("cache changed the output\non:\n%s\noff:\n%s", got, want)
+	}
+	if resOn.REAfter != resOff.REAfter || resOn.IntentValue != resOff.IntentValue {
+		t.Fatalf("cache changed scores: on=(%v,%v) off=(%v,%v)",
+			resOn.REAfter, resOn.IntentValue, resOff.REAfter, resOff.IntentValue)
+	}
 
-		st := resOn.CacheStats
-		total := st.StmtsExecuted + st.StmtsSkipped
-		if st.StmtsExecuted == 0 || total < 2*st.StmtsExecuted {
-			t.Fatalf("workers=%d: cache below 2x: executed %d of %d statements (%+v)",
-				workers, st.StmtsExecuted, total, st)
-		}
-		t.Logf("workers=%d: %d/%d statements executed (%.1fx reduction), %d hits, %d misses",
-			workers, st.StmtsExecuted, total, float64(total)/float64(st.StmtsExecuted), st.Hits, st.Misses)
+	st := resOn.CacheStats
+	total := st.StmtsExecuted + st.StmtsSkipped
+	if st.StmtsExecuted == 0 || total < 2*st.StmtsExecuted {
+		t.Fatalf("cache below 2x: executed %d of %d statements (%+v)", st.StmtsExecuted, total, st)
+	}
+	t.Logf("%d/%d statements executed (%.1fx reduction), %d hits, %d misses",
+		st.StmtsExecuted, total, float64(total)/float64(st.StmtsExecuted), st.Hits, st.Misses)
 
-		if off := resOff.CacheStats; off.Hits != 0 || off.Misses != 0 {
-			t.Fatalf("workers=%d: cache-off run reported cache stats %+v", workers, off)
-		}
+	if off := resOff.CacheStats; off.Hits != 0 || off.Misses != 0 {
+		t.Fatalf("cache-off run reported cache stats %+v", off)
 	}
 }
 
@@ -78,11 +73,13 @@ func TestExecCacheEquivalence(t *testing.T) {
 // could share a verify-cache key (silently reusing a wrong accuracy).
 func TestModelKeyCollisionFree(t *testing.T) {
 	configs := []intent.ModelConfig{
-		{Target: "y", Seed: 1, TestFrac: 0.3, Epochs: 120},
-		{Target: "y", Seed: 1, TestFrac: 0.3, Epochs: 120, Protected: "sex"},
-		{Target: "y", Seed: 1, TestFrac: 0.3, Epochs: 120, Protected: "race"},
-		{Target: "y/1", Seed: 2, TestFrac: 0.3, Epochs: 120},
-		{Target: "y", Seed: 1, TestFrac: 0.30000000000000004, Epochs: 120},
+		{Target: "y", Epochs: 120},
+		{Target: "y", Epochs: 120, Protected: "sex"},
+		{Target: "y", Epochs: 120, Protected: "race"},
+		// Unquoted, both would encode as y/sex//120.
+		{Target: "y/sex", Epochs: 120},
+		{Target: "y", Epochs: 120, Protected: "sex/"},
+		{Target: "y", Epochs: 60},
 	}
 	seen := map[string]int{}
 	for i, m := range configs {

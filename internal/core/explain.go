@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"lucidscript/internal/dag"
 	"lucidscript/internal/intent"
 	"lucidscript/internal/script"
 )
@@ -31,41 +30,18 @@ func (e Explanation) String() string {
 		e.Transformation, e.Rationale, e.CorpusFrequency*100, e.REDelta)
 }
 
-// ExplainResult reconstructs per-transformation explanations for a result:
-// the transformation sequence is replayed and each step's RE delta and
-// corpus frequency are reported.
+// ExplainResult explains each applied transformation of a result: the
+// path the search took is replayed forward from the lemmatized input, and
+// each step's RE delta and corpus frequency are reported.
 func (st *Standardizer) ExplainResult(res *Result) []Explanation {
-	// Replay: undo is not possible from the output alone, so rebuild from
-	// the recorded sequence. The Result carries the applied transformations
-	// in order; deltas come from re-scoring the intermediate sequences.
 	if len(res.Applied) == 0 {
 		return nil
 	}
-	// Recover the starting lines by inverting the transformations from the
-	// output: walk backwards, removing added atoms and restoring deleted
-	// ones.
-	lines := dag.Build(res.Output).Lines
-	for i := len(res.Applied) - 1; i >= 0; i-- {
-		tr := res.Applied[i]
-		switch tr.Type {
-		case TransformAdd:
-			if tr.Pos < len(lines) {
-				lines = append(append(lines[:0:0], lines[:tr.Pos]...), lines[tr.Pos+1:]...)
-			}
-		case TransformDelete:
-			restored := append(append(lines[:0:0], lines[:tr.Pos]...), tr.Atom)
-			lines = append(restored, lines[tr.Pos:]...)
-		}
-	}
+	lines := res.Input
 	prevRE := st.Corpus.Vocab.RELines(lines)
 	out := make([]Explanation, 0, len(res.Applied))
 	for _, tr := range res.Applied {
-		switch tr.Type {
-		case TransformAdd:
-			lines = append(append(append(lines[:0:0], lines[:tr.Pos]...), tr.Atom), lines[tr.Pos:]...)
-		case TransformDelete:
-			lines = append(append(lines[:0:0], lines[:tr.Pos]...), lines[tr.Pos+1:]...)
-		}
+		lines = applyLines(lines, tr)
 		re := st.Corpus.Vocab.RELines(lines)
 		out = append(out, Explanation{
 			Transformation:  tr,

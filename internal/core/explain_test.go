@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"lucidscript/internal/corpusgen"
 	"lucidscript/internal/dag"
 	"lucidscript/internal/frame"
+	"lucidscript/internal/gen"
 	"lucidscript/internal/intent"
 	"lucidscript/internal/script"
 )
@@ -43,6 +46,73 @@ func TestExplainResult(t *testing.T) {
 	}
 	if math.Abs(total-(res.REAfter-res.REBefore)) > 1e-9 {
 		t.Fatalf("deltas sum to %v, want %v", total, res.REAfter-res.REBefore)
+	}
+}
+
+// TestExplainReplaysSearchPath: replaying the recorded path (Applied from
+// Input) reproduces Result.Output, and the explanations' RE deltas
+// telescope to the overall RE change. The cases are jobs over generated
+// corpora plus a Titanic job whose output reads test.csv before train.csv:
+// lemmatizing that output afresh swaps the frame names df and df2, so
+// explanations rebuilt from the output, not from the input, scored
+// different lines than the search did.
+func TestExplainReplaysSearchPath(t *testing.T) {
+	type job struct {
+		name string
+		st   *Standardizer
+		su   *script.Script
+	}
+	cfg := DefaultConfig()
+	cfg.SeqLength = 4
+	cfg.MaxRows = 80
+	cfg.Constraint.Tau = 0.5
+	var jobs []job
+	for seed := int64(1); seed <= 6; seed++ {
+		g := gen.New(seed)
+		st := New(g.Scripts(10), g.Sources(120), cfg)
+		for i, su := range g.Scripts(3) {
+			jobs = append(jobs, job{fmt.Sprintf("gen seed %d job %d", seed, i), st, su})
+		}
+	}
+	comp, err := corpusgen.Get("Titanic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	titanic, err := comp.Generate(corpusgen.GenOptions{Seed: 7, RowScale: 0.1, NumScripts: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcfg := DefaultConfig()
+	tcfg.SeqLength, tcfg.MaxRows, tcfg.Seed = 5, 120, 7
+	tcfg.Constraint.Tau = 0.8
+	jobs = append(jobs, job{"titanic", New(titanic.ScriptsOnly(), titanic.Sources, tcfg), titanic.Sample(1, 21)[0]})
+
+	transformed := 0
+	for _, j := range jobs {
+		res, err := j.st.Standardize(j.su)
+		if err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+		lines := res.Input
+		for _, tr := range res.Applied {
+			lines = applyLines(lines, tr)
+		}
+		if got, want := dag.ToScript(lines).Source(), res.Output.Source(); got != want {
+			t.Fatalf("%s: replay gives\n%s\nwant\n%s", j.name, got, want)
+		}
+		total := 0.0
+		for _, e := range j.st.ExplainResult(res) {
+			total += e.REDelta
+		}
+		if math.Abs(total-(res.REAfter-res.REBefore)) > 1e-9 {
+			t.Fatalf("%s: deltas sum to %v, want %v", j.name, total, res.REAfter-res.REBefore)
+		}
+		if len(res.Applied) > 0 {
+			transformed++
+		}
+	}
+	if transformed < len(jobs)/2 {
+		t.Fatalf("only %d of %d jobs applied a transformation; the replay went mostly unchecked", transformed, len(jobs))
 	}
 }
 

@@ -45,8 +45,6 @@ func newObsState(ctx context.Context, cfg Config) *obsState {
 func (o *obsState) enabled() bool { return o.tr != nil }
 
 // emit stamps the event with the monotonic elapsed time and forwards it.
-// Safe to call from parallel beam-extension workers (tracers are required
-// to be concurrency-safe).
 func (o *obsState) emit(e obs.Event) {
 	if o.tr == nil {
 		return

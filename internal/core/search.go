@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime/pprof"
 	"sort"
-	"sync"
 	"time"
 
 	"lucidscript/internal/dag"
@@ -137,6 +136,9 @@ type Result struct {
 	ImprovementPct float64
 	// IntentValue is the measured user-intent value of the output (Δ_J or Δ_M).
 	IntentValue float64
+	// Input is the lemmatized input script, one atom per line: the start
+	// of the path Applied takes to Output.
+	Input []dag.LineInfo
 	// Applied lists the accepted transformation sequence.
 	Applied []Transformation
 	// ExecChecks counts interpreter runs performed.
@@ -196,9 +198,9 @@ func (st *Standardizer) StandardizeGrid(su *script.Script, seqs []int, constrain
 // cell verified against whatever archive the truncated search produced,
 // falling back to the input script — and ErrCanceled/ErrDeadlineExceeded.
 func (st *Standardizer) StandardizeGridContext(ctx context.Context, su *script.Script, seqs []int, constraints []intent.Constraint) ([][]*Result, error) {
-	// One shared, mutex-guarded session cache serves every execution in
-	// this call: early checks, parallel beam extensions, and the per-cell
-	// verification runs all reuse each other's statement prefixes.
+	// One shared session cache serves every execution in this call: early
+	// checks and the per-cell verification runs reuse each other's
+	// statement prefixes.
 	var sess interp.Session
 	if sc := st.newSession(); sc != nil {
 		sess = sc
@@ -264,7 +266,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 	counter := &extendStats{}
 	beams := []*candidate{orig}
 	archive := []*candidate{orig}
-	globalSeen := map[string]bool{orig.key(): true}
+	seen := map[string]bool{orig.key(): true}
 	var searchErr error
 	pprof.SetGoroutineLabels(o.ctxExtend)
 	for step := 0; step < maxSeq && len(beams) > 0; step++ {
@@ -275,16 +277,8 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 		}
 		stepStart := time.Now()
 		var next []*candidate
-		if cfg.Workers > 1 && len(beams) > 1 {
-			next = st.extendAllParallel(ctx, o, sess, beams, globalSeen, &searchTimings, counter)
-		} else {
-			seen := newSeenSet(globalSeen)
-			for _, cand := range beams {
-				next = st.extendOne(ctx, o, sess, next, cand, seen, &searchTimings, counter)
-			}
-		}
-		for _, c := range next {
-			globalSeen[c.key()] = true
+		for _, cand := range beams {
+			next = st.extendOne(ctx, o, sess, next, cand, seen, &searchTimings, counter)
 		}
 		// Every admitted candidate enters the verification archive, not just
 		// the K that continue: with early checking they already executed,
@@ -324,7 +318,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 			}
 		}
 		for ci, constraint := range constraints {
-			res := &Result{REBefore: orig.re, Timings: searchTimings, ExecChecks: searchChecks}
+			res := &Result{Input: orig.lines, REBefore: orig.re, Timings: searchTimings, ExecChecks: searchChecks}
 			res.Health.Check = counter.Health
 			res.Health.CurateSkipped = len(st.Corpus.Diagnostics)
 			if o.enabled() {
@@ -381,11 +375,9 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 	return results, searchErr
 }
 
-// extendStats accumulates the extension phase's accounting across beams
-// (and, in the parallel path, across workers).
+// extendStats accumulates the extension phase's accounting across beams.
 type extendStats struct {
-	// CheckTime is the wall clock spent in early execution checks
-	// (accumulated across workers, so it can exceed elapsed time).
+	// CheckTime is the wall clock spent in early execution checks.
 	CheckTime time.Duration
 	// ExecChecks counts interpreter runs.
 	ExecChecks int
@@ -463,12 +455,10 @@ func selectBeams(next []*candidate, k int) []*candidate {
 	return out
 }
 
-// extendBeams is Algorithm 2 (GetTopKBeams): it walks the ranked
-// transformations and admits a candidate when it would enter the current
-// top-K, verifying the execution constraint first when early checking is on.
 // extendOne runs GetSteps + (diverse) beam extension for one parent beam,
-// appending admitted candidates to next.
-func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess interp.Session, next []*candidate, cand *candidate, seen *seenSet, timings *Timings, counter *extendStats) []*candidate {
+// appending admitted candidates to next. seen holds the key of every
+// candidate admitted so far in the search; extendBeams adds to it.
+func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess interp.Session, next []*candidate, cand *candidate, seen map[string]bool, timings *Timings, counter *extendStats) []*candidate {
 	cfg := st.Config
 	before := len(next)
 	t0 := time.Now()
@@ -495,71 +485,10 @@ func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess interp.
 	return next
 }
 
-// extendAllParallel extends every parent beam in its own goroutine
-// (Section 6.5's proposed parallelism). Each worker dedups against the
-// candidates admitted in earlier steps (the shared base set) plus its own
-// local admissions; results merge in parent order with a final cross-beam
-// dedup, so the outcome is deterministic for a fixed configuration.
-func (st *Standardizer) extendAllParallel(ctx context.Context, o *obsState, sess interp.Session, beams []*candidate, globalSeen map[string]bool, timings *Timings, counter *extendStats) []*candidate {
-	n := len(beams)
-	results := make([][]*candidate, n)
-	perTimings := make([]Timings, n)
-	perCounter := make([]extendStats, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, st.Config.Workers)
-	for i, cand := range beams {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, cand *candidate) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			pprof.SetGoroutineLabels(o.ctxExtend)
-			seen := newSeenSet(globalSeen)
-			results[i] = st.extendOne(ctx, o, sess, nil, cand, seen, &perTimings[i], &perCounter[i])
-		}(i, cand)
-	}
-	wg.Wait()
-	var next []*candidate
-	merged := map[string]bool{}
-	for i := 0; i < n; i++ {
-		for _, c := range results[i] {
-			key := c.key()
-			if merged[key] {
-				continue
-			}
-			merged[key] = true
-			next = append(next, c)
-		}
-		// Wall-clock phases accumulate CPU time across workers; ExecChecks
-		// sum exactly.
-		timings.GetSteps += perTimings[i].GetSteps
-		timings.GetTopKBeams += perTimings[i].GetTopKBeams
-		counter.CheckTime += perCounter[i].CheckTime
-		counter.ExecChecks += perCounter[i].ExecChecks
-		counter.Admitted += perCounter[i].Admitted
-		counter.Pruned += perCounter[i].Pruned
-		counter.Health.merge(perCounter[i].Health)
-	}
-	return next
-}
-
-// seenSet is a two-level candidate de-duplication set: a shared read-only
-// base plus a local overlay, so parallel beam extensions can each dedup
-// against everything admitted in earlier steps without racing on one map.
-type seenSet struct {
-	base  map[string]bool
-	local map[string]bool
-}
-
-func newSeenSet(base map[string]bool) *seenSet {
-	return &seenSet{base: base, local: map[string]bool{}}
-}
-
-func (s *seenSet) has(key string) bool { return s.base[key] || s.local[key] }
-
-func (s *seenSet) add(key string) { s.local[key] = true }
-
-func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess interp.Session, acc []*candidate, cand *candidate, steps []Transformation, k int, seen *seenSet, res *extendStats) []*candidate {
+// extendBeams is Algorithm 2 (GetTopKBeams): it walks the ranked
+// transformations and admits a candidate when it would enter the current
+// top-K, verifying the execution constraint first when early checking is on.
+func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess interp.Session, acc []*candidate, cand *candidate, steps []Transformation, k int, seen map[string]bool, res *extendStats) []*candidate {
 	admitted := 0
 	for _, tr := range steps {
 		if admitted >= k {
@@ -572,7 +501,7 @@ func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess inter
 		}
 		nc := cand.apply(tr, st.Corpus.Vocab)
 		key := nc.key()
-		if seen.has(key) {
+		if seen[key] {
 			continue
 		}
 		if st.Config.EarlyCheck {
@@ -601,7 +530,7 @@ func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess inter
 				o.emit(obs.Event{Kind: obs.EvCandidateExecuted, Phase: obs.PhaseCheck, Detail: tr.String(), Dur: dur})
 			}
 		}
-		seen.add(key)
+		seen[key] = true
 		acc = append(acc, nc)
 		admitted++
 		res.Admitted++
@@ -642,12 +571,9 @@ func newVerifyCache(origOut *frame.Frame) *verifyCache {
 }
 
 // modelKey is a collision-free encoding of every ModelConfig field: %q
-// guards separator characters inside the string fields, and the float is
-// keyed by its exact bit pattern (formatting with %g can collide across
-// distinct values, silently reusing a wrong cached accuracy).
+// guards separator characters inside the string fields.
 func modelKey(m intent.ModelConfig) string {
-	return fmt.Sprintf("%q/%d/%x/%q/%d",
-		m.Target, m.Seed, math.Float64bits(m.TestFrac), m.Protected, m.Epochs)
+	return fmt.Sprintf("%q/%q/%d", m.Target, m.Protected, m.Epochs)
 }
 
 // satisfied evaluates the constraint against a candidate's cached output,

@@ -459,52 +459,3 @@ func TestModelConstraintRun(t *testing.T) {
 		t.Fatalf("improvement = %v", res.ImprovementPct)
 	}
 }
-
-func TestParallelWorkersProduceValidResult(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SeqLength = 8
-	cfg.Constraint.Tau = 0.5
-	cfg.Workers = 4
-	st := newStandardizer(t, cfg)
-	res, err := st.Standardize(script.MustParse(userScript))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ImprovementPct <= 0 {
-		t.Fatalf("parallel improvement = %v", res.ImprovementPct)
-	}
-	srcs := map[string]*frame.Frame{"diabetes.csv": diabetesFrame(t, 120)}
-	if err := interp.CheckExecutes(res.Output, srcs, interp.Options{Seed: 1}); err != nil {
-		t.Fatalf("parallel output does not execute: %v", err)
-	}
-	// Deterministic across repeated parallel runs.
-	res2, err := newStandardizer(t, cfg).Standardize(script.MustParse(userScript))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output.Source() != res2.Output.Source() {
-		t.Fatalf("parallel search not deterministic:\n%s\nvs\n%s",
-			res.Output.Source(), res2.Output.Source())
-	}
-}
-
-func TestParallelMatchesSequentialQuality(t *testing.T) {
-	base := DefaultConfig()
-	base.SeqLength = 6
-	base.Constraint.Tau = 0.5
-	seq, err := newStandardizer(t, base).Standardize(script.MustParse(userScript))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := base
-	par.Workers = 3
-	pres, err := newStandardizer(t, par).Standardize(script.MustParse(userScript))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cross-beam dedup differs, so outputs may differ; quality must be in
-	// the same ballpark (within 15 percentage points).
-	if pres.ImprovementPct < seq.ImprovementPct-15 {
-		t.Fatalf("parallel quality degraded: %v vs %v", pres.ImprovementPct, seq.ImprovementPct)
-	}
-}

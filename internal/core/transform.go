@@ -68,19 +68,12 @@ func (c *candidate) key() string {
 // monotonicity (optimization 3): the new low-water mark is the transformed
 // position, so later transformations cannot modify earlier lines.
 func (c *candidate) apply(tr Transformation, v *entropy.Vocab) *candidate {
-	var lines []dag.LineInfo
+	lines := applyLines(c.lines, tr)
 	var low int
 	switch tr.Type {
 	case TransformAdd:
-		lines = make([]dag.LineInfo, 0, len(c.lines)+1)
-		lines = append(lines, c.lines[:tr.Pos]...)
-		lines = append(lines, tr.Atom)
-		lines = append(lines, c.lines[tr.Pos:]...)
 		low = tr.Pos + 1
 	case TransformDelete:
-		lines = make([]dag.LineInfo, 0, len(c.lines)-1)
-		lines = append(lines, c.lines[:tr.Pos]...)
-		lines = append(lines, c.lines[tr.Pos+1:]...)
 		// Allow the next delete one position earlier: removing a multi-line
 		// block must proceed consumer-first (deleting a producer first breaks
 		// execution), which walks backwards one line at a time. This cannot
@@ -98,6 +91,24 @@ func (c *candidate) apply(tr Transformation, v *entropy.Vocab) *candidate {
 		applied:  append(append([]Transformation(nil), c.applied...), tr),
 		parent:   c,
 	}
+}
+
+// applyLines returns the lines produced by one transformation, leaving the
+// given lines untouched.
+func applyLines(lines []dag.LineInfo, tr Transformation) []dag.LineInfo {
+	var out []dag.LineInfo
+	switch tr.Type {
+	case TransformAdd:
+		out = make([]dag.LineInfo, 0, len(lines)+1)
+		out = append(out, lines[:tr.Pos]...)
+		out = append(out, tr.Atom)
+		out = append(out, lines[tr.Pos:]...)
+	case TransformDelete:
+		out = make([]dag.LineInfo, 0, len(lines)-1)
+		out = append(out, lines[:tr.Pos]...)
+		out = append(out, lines[tr.Pos+1:]...)
+	}
+	return out
 }
 
 // protectedLine reports whether a line atom must not be deleted: imports and

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-
-	"lucidscript/internal/script"
 )
 
 // ScaleConfig drives GenerateScaled, the large-corpus generator behind the
@@ -83,13 +81,4 @@ func (c *Competition) GenerateScaled(cfg ScaleConfig) ([]GeneratedScript, error)
 // runs and corpus sizes, like the script itself.
 func (c *Competition) ScaledID(i int) string {
 	return fmt.Sprintf("%s-%06d", c.Name, i)
-}
-
-// ScaledScriptsOnly extracts the bare scripts.
-func ScaledScriptsOnly(gs []GeneratedScript) []*script.Script {
-	out := make([]*script.Script, len(gs))
-	for i, g := range gs {
-		out[i] = g.Script
-	}
-	return out
 }

@@ -269,29 +269,6 @@ func (f *Frame) Sample(n int, seed int64) *Frame {
 	return f.gather(idx)
 }
 
-// DropNA returns a copy keeping only rows with no nulls in any column.
-func (f *Frame) DropNA() *Frame {
-	rows := f.NumRows()
-	p := getIdx(rows)
-	idx := *p
-	for i := 0; i < rows; i++ {
-		ok := true
-		for _, c := range f.cols {
-			if !c.valid[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			idx = append(idx, i)
-		}
-	}
-	out := f.gather(idx)
-	*p = idx
-	putIdx(p)
-	return out
-}
-
 // FillStat selects the per-column imputation statistic for FillNA.
 type FillStat int
 
@@ -370,39 +347,6 @@ func (f *Frame) GetDummies() *Frame {
 		}
 	}
 	return out
-}
-
-// SortBy returns a copy sorted by the named column (stable).
-func (f *Frame) SortBy(name string, ascending bool) (*Frame, error) {
-	c, err := f.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, f.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	less := func(a, b int) bool {
-		if c.IsNumeric() || c.Kind() == Bool {
-			return c.Float(a) < c.Float(b)
-		}
-		return c.StringAt(a) < c.StringAt(b)
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
-		av, bv := c.IsValid(a), c.IsValid(b)
-		if av != bv {
-			return av // nulls sort last regardless of direction
-		}
-		if !av {
-			return false
-		}
-		if ascending {
-			return less(a, b)
-		}
-		return less(b, a)
-	})
-	return f.gather(idx), nil
 }
 
 // GroupAgg identifies the aggregate applied by GroupBy.

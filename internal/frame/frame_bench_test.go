@@ -69,17 +69,6 @@ func BenchmarkGetDummies(b *testing.B) {
 	}
 }
 
-func BenchmarkSortBy(b *testing.B) {
-	f := benchFrame(b, 10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.SortBy("price", true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGroupByMean(b *testing.B) {
 	f := benchFrame(b, 10000)
 	b.ReportAllocs()

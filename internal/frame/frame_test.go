@@ -174,14 +174,6 @@ func TestHeadAndSample(t *testing.T) {
 	}
 }
 
-func TestDropNA(t *testing.T) {
-	f := sampleFrame(t)
-	g := f.DropNA()
-	if g.NumRows() != 2 {
-		t.Fatalf("DropNA rows = %d, want 2", g.NumRows())
-	}
-}
-
 func TestFillNAFrame(t *testing.T) {
 	f := sampleFrame(t)
 	mean := f.FillNA(FillMean)
@@ -235,29 +227,6 @@ func TestGetDummies(t *testing.T) {
 	// Numeric columns untouched.
 	if !g.HasColumn("Age") {
 		t.Fatal("numeric column dropped")
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	f := sampleFrame(t)
-	asc, err := f.SortBy("Age", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	age, _ := asc.Column("Age")
-	if !almostEq(age.Float(0), 22) {
-		t.Fatalf("sorted first = %v", age.Float(0))
-	}
-	if age.IsValid(3) {
-		t.Fatal("nulls should sort last")
-	}
-	desc, _ := f.SortBy("Age", false)
-	aged, _ := desc.Column("Age")
-	if !almostEq(aged.Float(0), 38) {
-		t.Fatalf("desc first = %v", aged.Float(0))
-	}
-	if _, err := f.SortBy("Nope", true); err == nil {
-		t.Fatal("sorting missing column should error")
 	}
 }
 

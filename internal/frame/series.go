@@ -433,17 +433,6 @@ func (s *Series) Unique() []string {
 	return out
 }
 
-// ValueCounts returns value → occurrence count over non-null rows.
-func (s *Series) ValueCounts() map[string]int {
-	counts := map[string]int{}
-	for i := 0; i < s.Len(); i++ {
-		if s.valid[i] {
-			counts[s.StringAt(i)]++
-		}
-	}
-	return counts
-}
-
 // FillNAFloat returns a series with nulls replaced by v (numeric series
 // only). A series with no nulls is returned as-is — safe under the
 // immutability contract, since no caller writes into a fill result.

@@ -404,42 +404,3 @@ func (s *Series) Clip(lo, hi float64) *Series {
 	}
 	return NewFloatSeries(s.name, vals)
 }
-
-// MinMaxScale returns (x - min) / (max - min); constant series become 0.
-func (s *Series) MinMaxScale() *Series {
-	lo, hi := s.Min(), s.Max()
-	span := hi - lo
-	vals := make([]float64, s.Len())
-	for i := range vals {
-		v := s.Float(i)
-		if math.IsNaN(v) {
-			vals[i] = math.NaN()
-			continue
-		}
-		if span == 0 {
-			vals[i] = 0
-			continue
-		}
-		vals[i] = (v - lo) / span
-	}
-	return NewFloatSeries(s.name, vals)
-}
-
-// StandardScale returns (x - mean) / std; zero-variance series become 0.
-func (s *Series) StandardScale() *Series {
-	m, sd := s.Mean(), s.Std()
-	vals := make([]float64, s.Len())
-	for i := range vals {
-		v := s.Float(i)
-		if math.IsNaN(v) {
-			vals[i] = math.NaN()
-			continue
-		}
-		if sd == 0 {
-			vals[i] = 0
-			continue
-		}
-		vals[i] = (v - m) / sd
-	}
-	return NewFloatSeries(s.name, vals)
-}

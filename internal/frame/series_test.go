@@ -279,23 +279,6 @@ func TestArithScalarAndUnary(t *testing.T) {
 	}
 }
 
-func TestScaling(t *testing.T) {
-	s := NewFloatSeries("x", []float64{0, 5, 10})
-	mm := s.MinMaxScale()
-	if !almostEq(mm.Float(0), 0) || !almostEq(mm.Float(1), 0.5) || !almostEq(mm.Float(2), 1) {
-		t.Fatalf("MinMaxScale = %v %v %v", mm.Float(0), mm.Float(1), mm.Float(2))
-	}
-	ss := s.StandardScale()
-	if !almostEq(ss.Float(1), 0) {
-		t.Fatalf("StandardScale mid = %v, want 0", ss.Float(1))
-	}
-	// Constant series.
-	c := NewFloatSeries("c", []float64{3, 3}).MinMaxScale()
-	if !almostEq(c.Float(0), 0) {
-		t.Fatal("constant MinMaxScale should yield 0")
-	}
-}
-
 func TestGather(t *testing.T) {
 	s := NewFloatSeries("x", []float64{10, math.NaN(), 30})
 	g := s.Gather([]int{2, 1})
@@ -304,15 +287,11 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestUniqueAndValueCounts(t *testing.T) {
+func TestUnique(t *testing.T) {
 	s := NewStringSeries("c", []string{"b", "a", "b"})
 	u := s.Unique()
 	if len(u) != 2 || u[0] != "a" || u[1] != "b" {
 		t.Fatalf("Unique = %v", u)
-	}
-	vc := s.ValueCounts()
-	if vc["b"] != 2 || vc["a"] != 1 {
-		t.Fatalf("ValueCounts = %v", vc)
 	}
 }
 
@@ -321,32 +300,6 @@ func TestKindString(t *testing.T) {
 		if k.String() != want {
 			t.Fatalf("Kind(%d).String() = %q, want %q", int(k), k.String(), want)
 		}
-	}
-}
-
-// Property: MinMaxScale output is always within [0,1] for valid entries.
-func TestMinMaxScaleRangeProperty(t *testing.T) {
-	f := func(vals []float64) bool {
-		clean := make([]float64, 0, len(vals))
-		for _, v := range vals {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				clean = append(clean, v)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		s := NewFloatSeries("x", clean).MinMaxScale()
-		for i := 0; i < s.Len(); i++ {
-			v := s.Float(i)
-			if v < -1e-9 || v > 1+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -114,10 +114,6 @@ func maxInt(a, b int) int {
 type ModelConfig struct {
 	// Target is the label column name in the output dataset.
 	Target string
-	// Seed drives the deterministic train/test split.
-	Seed uint64
-	// TestFrac is the held-out fraction (default 0.3).
-	TestFrac float64
 	// Protected names the protected-attribute column for MeasureFairness.
 	Protected string
 	// Epochs overrides logistic training epochs (default 120, enough for
@@ -126,12 +122,6 @@ type ModelConfig struct {
 }
 
 func (c *ModelConfig) defaults() {
-	if c.TestFrac == 0 {
-		c.TestFrac = 0.3
-	}
-	if c.Seed == 0 {
-		c.Seed = 11
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 120
 	}

@@ -1,15 +1,14 @@
 // Package ml provides the downstream-model substrate for the model
 // performance user-intent measure Δ_M: a from-scratch logistic-regression
-// classifier and a small decision tree, with deterministic train/test
-// splitting and accuracy/F1 metrics. The paper used scikit-learn models for
-// the same role; Δ_M only requires an accuracy metric that responds to data
+// classifier and a majority baseline, scored by deterministic k-fold
+// cross-validated accuracy. The paper used scikit-learn models for the same
+// role; Δ_M only requires an accuracy metric that responds to data
 // preparation changes.
 package ml
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -47,39 +46,6 @@ func (d *Dataset) NumFeatures() int {
 	return len(d.X[0])
 }
 
-// Split partitions the dataset deterministically into train and test sets.
-// Assignment is by a hash of the row contents and position, so the same
-// rows land in the same partition across runs — independent of row order
-// changes caused by filtering.
-func (d *Dataset) Split(testFrac float64, seed uint64) (train, test *Dataset) {
-	train, test = &Dataset{}, &Dataset{}
-	threshold := uint64(testFrac * float64(math.MaxUint64))
-	for i := range d.X {
-		if d.rowHash(i, seed) < threshold {
-			test.X = append(test.X, d.X[i])
-			test.Y = append(test.Y, d.Y[i])
-		} else {
-			train.X = append(train.X, d.X[i])
-			train.Y = append(train.Y, d.Y[i])
-		}
-	}
-	return train, test
-}
-
-func (d *Dataset) rowHash(i int, seed uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	putUint64(b[:], seed)
-	_, _ = h.Write(b[:])
-	for _, v := range d.X[i] {
-		putUint64(b[:], math.Float64bits(v))
-		_, _ = h.Write(b[:])
-	}
-	putUint64(b[:], uint64(d.Y[i]))
-	_, _ = h.Write(b[:])
-	return h.Sum64()
-}
-
 // Folds partitions the dataset deterministically into k folds by position
 // (round-robin), for cross-validated accuracy. Position-based assignment
 // keeps fold membership nearly stable under small row additions/removals
@@ -112,45 +78,22 @@ func merge(parts []*Dataset) *Dataset {
 	return out
 }
 
-// CrossValAccuracy trains the classifier produced by fit on k-1 folds and
-// tests on the held-out fold, for every fold, returning overall accuracy
-// (each row is tested exactly once). Folds with no training data are
-// skipped.
+// CrossValAccuracy returns the k-fold cross-validated accuracy of the
+// classifiers fit produces: the share of rows whose held-out prediction
+// from CrossValPredictions matches the label (each row is tested exactly
+// once).
 func CrossValAccuracy(d *Dataset, k int, fit func(*Dataset) (Classifier, error)) (float64, error) {
-	folds := d.Folds(k)
-	correct, total := 0, 0
-	for i := range folds {
-		var trainParts []*Dataset
-		for j := range folds {
-			if j != i {
-				trainParts = append(trainParts, folds[j])
-			}
-		}
-		train := merge(trainParts)
-		if train.Len() == 0 || folds[i].Len() == 0 {
-			continue
-		}
-		clf, err := fit(train)
-		if err != nil {
-			return 0, err
-		}
-		for r := range folds[i].X {
-			if clf.Predict(folds[i].X[r]) == folds[i].Y[r] {
-				correct++
-			}
-			total++
+	preds, err := CrossValPredictions(d, k, fit)
+	if err != nil {
+		return 0, err
+	}
+	correct := 0
+	for i, p := range preds {
+		if p == d.Y[i] {
+			correct++
 		}
 	}
-	if total == 0 {
-		return 0, ErrNoData
-	}
-	return float64(correct) / float64(total), nil
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+	return float64(correct) / float64(len(preds)), nil
 }
 
 // Classifier is a trained binary classifier.
@@ -171,28 +114,6 @@ func Accuracy(c Classifier, d *Dataset) float64 {
 		}
 	}
 	return float64(correct) / float64(d.Len())
-}
-
-// F1 returns the F1 score of class 1 on the dataset.
-func F1(c Classifier, d *Dataset) float64 {
-	var tp, fp, fn float64
-	for i := range d.X {
-		pred := c.Predict(d.X[i])
-		switch {
-		case pred == 1 && d.Y[i] == 1:
-			tp++
-		case pred == 1 && d.Y[i] == 0:
-			fp++
-		case pred == 0 && d.Y[i] == 1:
-			fn++
-		}
-	}
-	if tp == 0 {
-		return 0
-	}
-	precision := tp / (tp + fp)
-	recall := tp / (tp + fn)
-	return 2 * precision * recall / (precision + recall)
 }
 
 // LogisticRegression is a binary logistic-regression classifier trained by
@@ -317,160 +238,9 @@ func (lr *LogisticRegression) Predict(x []float64) int {
 	return 0
 }
 
-// TreeConfig configures decision-tree training.
-type TreeConfig struct {
-	// MaxDepth bounds the tree height (default 3).
-	MaxDepth int
-	// MinLeaf is the minimum rows per leaf (default 5).
-	MinLeaf int
-}
-
-func (c *TreeConfig) defaults() {
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 3
-	}
-	if c.MinLeaf == 0 {
-		c.MinLeaf = 5
-	}
-}
-
-// DecisionTree is a binary classification tree split on Gini impurity.
-type DecisionTree struct {
-	root *treeNode
-}
-
-type treeNode struct {
-	feature   int
-	threshold float64
-	left      *treeNode
-	right     *treeNode
-	leafClass int
-	isLeaf    bool
-}
-
-// TrainTree fits a decision tree on the dataset.
-func TrainTree(d *Dataset, cfg TreeConfig) (*DecisionTree, error) {
-	if d.Len() == 0 || d.NumFeatures() == 0 {
-		return nil, ErrNoData
-	}
-	cfg.defaults()
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	return &DecisionTree{root: buildNode(d, idx, cfg.MaxDepth, cfg.MinLeaf)}, nil
-}
-
-func majority(d *Dataset, idx []int) int {
-	ones := 0
-	for _, i := range idx {
-		ones += d.Y[i]
-	}
-	if 2*ones >= len(idx) {
-		return 1
-	}
-	return 0
-}
-
-func gini(ones, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	p := float64(ones) / float64(total)
-	return 2 * p * (1 - p)
-}
-
-func buildNode(d *Dataset, idx []int, depth, minLeaf int) *treeNode {
-	node := &treeNode{isLeaf: true, leafClass: majority(d, idx)}
-	if depth == 0 || len(idx) < 2*minLeaf {
-		return node
-	}
-	ones := 0
-	for _, i := range idx {
-		ones += d.Y[i]
-	}
-	if ones == 0 || ones == len(idx) {
-		return node
-	}
-	bestGain := 0.0
-	bestF, bestT := -1, 0.0
-	parent := gini(ones, len(idx))
-	m := d.NumFeatures()
-	for f := 0; f < m; f++ {
-		// Candidate thresholds: deciles of the feature over idx.
-		vals := make([]float64, 0, len(idx))
-		for _, i := range idx {
-			vals = append(vals, d.X[i][f])
-		}
-		sortFloats(vals)
-		for q := 1; q < 10; q++ {
-			thr := vals[q*len(vals)/10]
-			lo, lo1, ho, ho1 := 0, 0, 0, 0
-			for _, i := range idx {
-				if d.X[i][f] <= thr {
-					lo++
-					lo1 += d.Y[i]
-				} else {
-					ho++
-					ho1 += d.Y[i]
-				}
-			}
-			if lo < minLeaf || ho < minLeaf {
-				continue
-			}
-			gain := parent - (float64(lo)*gini(lo1, lo)+float64(ho)*gini(ho1, ho))/float64(len(idx))
-			if gain > bestGain+1e-12 {
-				bestGain, bestF, bestT = gain, f, thr
-			}
-		}
-	}
-	if bestF < 0 {
-		return node
-	}
-	var li, ri []int
-	for _, i := range idx {
-		if d.X[i][bestF] <= bestT {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
-		}
-	}
-	node.isLeaf = false
-	node.feature = bestF
-	node.threshold = bestT
-	node.left = buildNode(d, li, depth-1, minLeaf)
-	node.right = buildNode(d, ri, depth-1, minLeaf)
-	return node
-}
-
-func sortFloats(vals []float64) {
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
-}
-
-// Predict returns the predicted class for a feature row.
-func (t *DecisionTree) Predict(x []float64) int {
-	n := t.root
-	for !n.isLeaf {
-		v := 0.0
-		if n.feature < len(x) {
-			v = x[n.feature]
-		}
-		if v <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.leafClass
-}
-
 // CrossValPredictions returns one held-out prediction per row using k-fold
-// cross-validation with the same round-robin folds as CrossValAccuracy:
-// predictions[i] is made by a model that never saw row i.
+// cross-validation over the round-robin Folds: predictions[i] is made by a
+// model that never saw row i.
 func CrossValPredictions(d *Dataset, k int, fit func(*Dataset) (Classifier, error)) ([]int, error) {
 	if d.Len() == 0 {
 		return nil, ErrNoData

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,9 +42,16 @@ func TestNewDatasetValidation(t *testing.T) {
 	}
 }
 
+// holdOut splits d into the first of four round-robin folds (test) and
+// the other three (train).
+func holdOut(d *Dataset) (train, test *Dataset) {
+	folds := d.Folds(4)
+	return merge(folds[1:]), folds[0]
+}
+
 func TestLogisticLearnsSeparableData(t *testing.T) {
 	d := synthLinear(400, 0.1, 1)
-	train, test := d.Split(0.3, 7)
+	train, test := holdOut(d)
 	lr, err := TrainLogistic(train, LogisticConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +64,7 @@ func TestLogisticLearnsSeparableData(t *testing.T) {
 
 func TestLogisticBeatsGuessingOnNoisy(t *testing.T) {
 	d := synthLinear(600, 1.5, 2)
-	train, test := d.Split(0.3, 7)
+	train, test := holdOut(d)
 	lr, err := TrainLogistic(train, LogisticConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -67,79 +75,9 @@ func TestLogisticBeatsGuessingOnNoisy(t *testing.T) {
 	}
 }
 
-func TestTreeLearnsAxisAlignedData(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 400
-	x := make([][]float64, n)
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		a, b := rng.Float64(), rng.Float64()
-		x[i] = []float64{a, b}
-		if a > 0.5 {
-			y[i] = 1
-		}
-	}
-	d, _ := NewDataset(x, y)
-	train, test := d.Split(0.3, 5)
-	tree, err := TrainTree(train, TreeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := Accuracy(tree, test); acc < 0.9 {
-		t.Fatalf("tree accuracy = %v", acc)
-	}
-}
-
-func TestTreePureLeaf(t *testing.T) {
-	x := [][]float64{{1}, {2}, {3}, {4}}
-	y := []int{1, 1, 1, 1}
-	d, _ := NewDataset(x, y)
-	tree, err := TrainTree(d, TreeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Predict([]float64{10}) != 1 {
-		t.Fatal("pure dataset should predict the pure class")
-	}
-}
-
-func TestSplitDeterministicAndDisjoint(t *testing.T) {
-	d := synthLinear(500, 0.5, 4)
-	tr1, te1 := d.Split(0.3, 42)
-	tr2, te2 := d.Split(0.3, 42)
-	if tr1.Len() != tr2.Len() || te1.Len() != te2.Len() {
-		t.Fatal("split not deterministic")
-	}
-	if tr1.Len()+te1.Len() != d.Len() {
-		t.Fatal("split loses rows")
-	}
-	frac := float64(te1.Len()) / float64(d.Len())
-	if frac < 0.2 || frac > 0.4 {
-		t.Fatalf("test fraction = %v, want ~0.3", frac)
-	}
-}
-
-func TestSplitStableUnderRowReorder(t *testing.T) {
-	d := synthLinear(200, 0.5, 9)
-	// Reverse the rows; each row must keep its partition.
-	rev := &Dataset{}
-	for i := d.Len() - 1; i >= 0; i-- {
-		rev.X = append(rev.X, d.X[i])
-		rev.Y = append(rev.Y, d.Y[i])
-	}
-	_, te1 := d.Split(0.3, 42)
-	_, te2 := rev.Split(0.3, 42)
-	if te1.Len() != te2.Len() {
-		t.Fatalf("hash split should be order independent: %d vs %d", te1.Len(), te2.Len())
-	}
-}
-
 func TestTrainErrorsOnEmpty(t *testing.T) {
 	if _, err := TrainLogistic(&Dataset{}, LogisticConfig{}); err == nil {
 		t.Fatal("TrainLogistic on empty should error")
-	}
-	if _, err := TrainTree(&Dataset{}, TreeConfig{}); err == nil {
-		t.Fatal("TrainTree on empty should error")
 	}
 }
 
@@ -155,19 +93,6 @@ func TestConstantFeatureNoNaN(t *testing.T) {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
 			t.Fatal("constant feature produced NaN weight")
 		}
-	}
-}
-
-func TestF1Score(t *testing.T) {
-	d, _ := NewDataset([][]float64{{0}, {0}, {1}, {1}}, []int{0, 0, 1, 1})
-	perfect := MajorityClassifier{Class: 1}
-	// Majority predicting all-1: tp=2, fp=2, fn=0 → P=0.5 R=1 F1=2/3.
-	if got := F1(perfect, d); math.Abs(got-2.0/3) > 1e-9 {
-		t.Fatalf("F1 = %v", got)
-	}
-	allZero := MajorityClassifier{Class: 0}
-	if F1(allZero, d) != 0 {
-		t.Fatal("no true positives should give F1 = 0")
 	}
 }
 
@@ -212,19 +137,6 @@ func TestAccuracyRangeProperty(t *testing.T) {
 	}
 }
 
-// Property: the hash split keeps every row exactly once.
-func TestSplitPartitionProperty(t *testing.T) {
-	f := func(seed int64, frac float64) bool {
-		frac = math.Mod(math.Abs(frac), 1)
-		d := synthLinear(80, 0.5, seed)
-		tr, te := d.Split(frac, uint64(seed))
-		return tr.Len()+te.Len() == d.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCrossValAccuracyAndPredictions(t *testing.T) {
 	d := synthLinear(300, 0.1, 10)
 	acc, err := CrossValAccuracy(d, 4, func(train *Dataset) (Classifier, error) {
@@ -258,6 +170,9 @@ func TestCrossValAccuracyAndPredictions(t *testing.T) {
 	}
 	if _, err := CrossValPredictions(&Dataset{}, 4, nil); err == nil {
 		t.Fatal("empty dataset should error")
+	}
+	if _, err := CrossValAccuracy(&Dataset{}, 4, nil); !errors.Is(err, ErrNoData) {
+		t.Fatalf("CrossValAccuracy on empty dataset: err = %v, want ErrNoData", err)
 	}
 }
 

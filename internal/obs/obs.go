@@ -131,7 +131,8 @@ func (e Event) String() string {
 }
 
 // Tracer receives structured search events. Implementations must be safe
-// for concurrent use: parallel beam extensions emit from worker goroutines.
+// for concurrent use: the jobs of a batch or a queue emit from their own
+// worker goroutines into one tracer.
 type Tracer interface {
 	Emit(Event)
 }

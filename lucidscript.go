@@ -57,15 +57,20 @@ func ReadCSVFile(path string) (*Frame, error) { return frame.ReadCSVFile(path) }
 
 // ReadSources loads CSV files as a script's data sources, each keyed by its
 // base name, so pd.read_csv("diabetes.csv") resolves to a file passed as
-// /path/to/diabetes.csv.
+// /path/to/diabetes.csv. Two paths with the same base name are an error.
 func ReadSources(paths []string) (map[string]*Frame, error) {
 	sources := make(map[string]*Frame, len(paths))
+	from := make(map[string]string, len(paths))
 	for _, p := range paths {
+		base := filepath.Base(p)
+		if prev, dup := from[base]; dup {
+			return nil, fmt.Errorf("%s and %s share the source name %q", prev, p, base)
+		}
 		f, err := frame.ReadCSVFile(p)
 		if err != nil {
 			return nil, fmt.Errorf("loading %s: %w", p, err)
 		}
-		sources[filepath.Base(p)] = f
+		sources[base], from[base] = f, p
 	}
 	return sources, nil
 }
@@ -173,15 +178,9 @@ type Options struct {
 	// Weights optionally weights each corpus script (parallel to the corpus
 	// slice) in the standardness distribution, e.g. by Kaggle vote counts.
 	Weights []int
-	// Workers > 1 extends search beams concurrently. 0 resolves to the
-	// default 1 (sequential). Deterministic for a fixed configuration; may
-	// differ slightly from the sequential search (per-beam candidate
-	// de-duplication).
-	Workers int
 	// BatchWorkers bounds StandardizeBatch's worker pool — how many jobs
-	// standardize concurrently. 0 resolves to runtime.GOMAXPROCS(0). It is
-	// independent of Workers, which parallelizes the beam search inside
-	// each job.
+	// standardize concurrently. 0 resolves to runtime.GOMAXPROCS(0).
+	// Each job's beam search itself runs on one goroutine.
 	BatchWorkers int
 	// Timeout bounds each Standardize/ParetoFrontier call; 0 means no
 	// limit. An expired timeout aborts the search mid-candidate and
@@ -190,7 +189,8 @@ type Options struct {
 	// Tracer receives structured search events (phase timings, beam
 	// extensions, candidate executions/prunings, verification passes,
 	// cache traffic). Nil disables tracing with zero overhead.
-	// Implementations must be safe for concurrent use when Workers > 1.
+	// Implementations must be safe for concurrent use: StandardizeBatch
+	// and concurrent calls on one System emit from several goroutines.
 	Tracer Tracer
 	// Metrics, when non-nil, accumulates counters (statements executed,
 	// cache hits, beams pruned, verifications, per-phase wall clock)
@@ -221,7 +221,6 @@ func DefaultOptions() Options {
 		Tau:          0.9,
 		Seed:         1,
 		MaxRows:      50000,
-		Workers:      1,
 		BatchWorkers: runtime.GOMAXPROCS(0),
 	}
 }
@@ -266,9 +265,6 @@ func (o Options) resolved() Options {
 	case o.MaxRows < 0:
 		o.MaxRows = 0 // core interprets 0 as "no sampling"
 	}
-	if o.Workers == 0 {
-		o.Workers = def.Workers
-	}
 	if o.BatchWorkers == 0 {
 		o.BatchWorkers = def.BatchWorkers
 	}
@@ -305,8 +301,8 @@ func (o Options) Validate() error {
 			return fmt.Errorf("%w: Jaccard Tau = %v exceeds 1", ErrInvalidThreshold, o.Tau)
 		}
 	}
-	if o.SeqLength < 0 || o.BeamSize < 0 || o.Workers < 0 || o.BatchWorkers < 0 {
-		return fmt.Errorf("%w: SeqLength/BeamSize/Workers/BatchWorkers must not be negative", ErrInvalidThreshold)
+	if o.SeqLength < 0 || o.BeamSize < 0 || o.BatchWorkers < 0 {
+		return fmt.Errorf("%w: SeqLength/BeamSize/BatchWorkers must not be negative", ErrInvalidThreshold)
 	}
 	if o.Timeout < 0 {
 		return fmt.Errorf("%w: Timeout must not be negative", ErrInvalidThreshold)
@@ -541,7 +537,6 @@ func newSystem(cc *core.CuratedCorpus, numScripts int, opts Options) *System {
 	}
 	cfg.Seed = opts.Seed
 	cfg.MaxRows = opts.MaxRows
-	cfg.Workers = opts.Workers
 	cfg.Tracer = opts.Tracer
 	cfg.Metrics = opts.Metrics
 	cfg.Limits = opts.ExecLimits

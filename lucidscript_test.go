@@ -3,6 +3,8 @@ package lucidscript
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -174,6 +176,29 @@ func TestReadCSVFacade(t *testing.T) {
 	}
 	if _, err := ReadCSVFile("/nonexistent/file.csv"); err == nil {
 		t.Fatal("missing file should error")
+	}
+}
+
+func TestReadSourcesDuplicateBaseName(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for _, sub := range []string{"a", "b"} {
+		p := filepath.Join(dir, sub, "d.csv")
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("x\n1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	sources, err := ReadSources(paths[:1])
+	if err != nil || sources["d.csv"] == nil {
+		t.Fatalf("ReadSources(one file) = %v, %v", sources, err)
+	}
+	_, err = ReadSources(paths)
+	if err == nil || !strings.Contains(err.Error(), paths[0]) || !strings.Contains(err.Error(), paths[1]) {
+		t.Fatalf("ReadSources(two d.csv) err = %v, want an error naming both paths", err)
 	}
 }
 
