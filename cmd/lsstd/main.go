@@ -178,14 +178,14 @@ func main() {
 	} else {
 		fmt.Fprintf(os.Stderr, "output hash unavailable: %v\n", err)
 	}
-	for _, tr := range res.Transformations {
-		fmt.Fprintln(os.Stderr, "  "+tr)
+	for _, tr := range res.Applied {
+		fmt.Fprintln(os.Stderr, "  "+tr.String())
 	}
-	ec := res.ExecCache
+	ec := res.CacheStats
 	fmt.Fprintf(os.Stderr,
 		"exec cache: %d hits, %d misses, %d evictions; %d statements executed, %d skipped, ~%s exec time saved\n",
 		ec.Hits, ec.Misses, ec.Evictions, ec.StmtsExecuted, ec.StmtsSkipped,
-		ec.EstSavedTime.Round(time.Millisecond))
+		ec.EstSavedTime().Round(time.Millisecond))
 	reportHealth("lsstd", res.Health)
 	fmt.Fprintf(os.Stderr, "time: %s total (%s search, %s verify)\n",
 		res.Timings.Total.Round(time.Millisecond),

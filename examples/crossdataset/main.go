@@ -63,8 +63,8 @@ func main() {
 	fmt.Println("=== standardized with the Titanic corpus ===")
 	fmt.Print(res.Script.Source())
 	fmt.Printf("RE = %.3f (%.1f%% improvement), Δ_J = %.3f\n", res.REAfter, res.ImprovementPct, res.IntentValue)
-	for _, tr := range res.Transformations {
-		fmt.Println("  " + tr)
+	for _, tr := range res.Applied {
+		fmt.Println("  " + tr.String())
 	}
 	if res.ImprovementPct == 0 {
 		fmt.Println("(no admissible cross-corpus improvement at τ_J = 0.9 — relax τ to allow more drift)")

@@ -58,7 +58,7 @@ func main() {
 	}
 	fmt.Print(res.Script.Source())
 	fmt.Printf("\n%.1f%% improvement; each edit justified:\n", res.ImprovementPct)
-	for _, ex := range res.Explanations {
-		fmt.Println("  • " + ex)
+	for _, ex := range sys.Explain(res) {
+		fmt.Println("  • " + ex.String())
 	}
 }

@@ -137,7 +137,7 @@ func main() {
 	fmt.Printf("\nstandardness RE = %.3f (%.1f%% improvement)\n", res.REAfter, res.ImprovementPct)
 	fmt.Printf("intent preserved: table Jaccard = %.3f\n", res.IntentValue)
 	fmt.Println("\napplied transformations:")
-	for _, tr := range res.Transformations {
-		fmt.Println("  " + tr)
+	for _, tr := range res.Applied {
+		fmt.Println("  " + tr.String())
 	}
 }

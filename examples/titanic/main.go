@@ -57,7 +57,7 @@ df = pd.read_csv("train.csv")
 	fmt.Print(res.Script.Source())
 	fmt.Printf("RE = %.3f (%.1f%% improvement), Δ_M = %.2f%%\n", res.REAfter, res.ImprovementPct, res.IntentValue)
 	fmt.Println("\napplied transformations:")
-	for _, tr := range res.Transformations {
-		fmt.Println("  " + tr)
+	for _, tr := range res.Applied {
+		fmt.Println("  " + tr.String())
 	}
 }

@@ -8,11 +8,7 @@ import (
 	"fmt"
 
 	"lucidscript/internal/dag"
-	"lucidscript/internal/script"
 )
-
-// buildGraph converts a script into its DAG representation.
-func buildGraph(sc *script.Script) *dag.Graph { return dag.Build(sc) }
 
 // Lemmatize returns the canonical (lemmatized) form of a script: module
 // aliases become pd/np and dataframe variables adopt canonical names, so

@@ -60,7 +60,7 @@ func TestGoldenSnapshots(t *testing.T) {
 				fmt.Fprintf(&b, "output:\n%s", r.Script.Source())
 				fmt.Fprintf(&b, "re: %.4f -> %.4f (improvement %.4f%%)\n", r.REBefore, r.REAfter, r.ImprovementPct)
 				fmt.Fprintf(&b, "intent: %.4f\n", r.IntentValue)
-				fmt.Fprintf(&b, "transformations: %d\n", len(r.Transformations))
+				fmt.Fprintf(&b, "transformations: %d\n", len(r.Applied))
 			}
 			got := b.String()
 

@@ -73,7 +73,7 @@ func BatchRecords(opts Options) ([]Record, *Table, error) {
 				if err != nil {
 					return nil, nil, fmt.Errorf("bench: %s sequential job %d: %w", name, i, err)
 				}
-				seqOut[i] = res.Output.Source()
+				seqOut[i] = res.Script.Source()
 			}
 			if d := time.Since(seqStart); r == 0 || d < seqDur {
 				seqDur = d
@@ -94,7 +94,7 @@ func BatchRecords(opts Options) ([]Record, *Table, error) {
 				if errs[i] != nil {
 					return nil, nil, fmt.Errorf("bench: %s batch job %d: %w", name, i, errs[i])
 				}
-				if results[i].Output.Source() != seqOut[i] {
+				if results[i].Script.Source() != seqOut[i] {
 					return nil, nil, fmt.Errorf("bench: %s batch output diverges from sequential", name)
 				}
 				cacheHits += results[i].CacheStats.Hits

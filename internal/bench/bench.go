@@ -244,7 +244,7 @@ func leaveOneOut(gen *corpusgen.Generated, cfg core.Config, cap int, logf func(s
 			improvement: res.ImprovementPct,
 			intentValue: res.IntentValue,
 			timings:     res.Timings,
-			output:      res.Output,
+			output:      res.Script,
 			execChecks:  res.ExecChecks,
 		})
 	}

@@ -52,7 +52,7 @@ df = pd.read_csv("diabetes.csv")
 		if err != nil {
 			return nil, err
 		}
-		outs := map[string]*script.Script{"LS": res.Output}
+		outs := map[string]*script.Script{"LS": res.Script}
 		for _, ver := range []baselines.GPTVersion{baselines.GPT35, baselines.GPT4} {
 			g := baselines.NewSimGPT(ver, opts.Seed, gen.Sources[gen.Competition.File], gen.Competition.Target).WithExamples(gen.ScriptsOnly())
 			out, err := g.Rewrite(su)
@@ -436,7 +436,7 @@ func Fig9(opts Options) (*Table, error) {
 			}
 			tried++
 			for si := range seqs {
-				if inj.Removed(grid[si][0].Output) {
+				if inj.Removed(grid[si][0].Script) {
 					detected[si]++
 				}
 			}

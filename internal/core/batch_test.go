@@ -75,7 +75,7 @@ func TestStandardizeBatchMatchesSequential(t *testing.T) {
 		if got[i] == nil {
 			t.Fatalf("batch job %d: nil result", i)
 		}
-		if g, w := got[i].Output.Source(), want[i].Output.Source(); g != w {
+		if g, w := got[i].Script.Source(), want[i].Script.Source(); g != w {
 			t.Errorf("job %d output diverges from sequential:\nbatch:\n%s\nsequential:\n%s", i, g, w)
 		}
 		if got[i].REBefore != want[i].REBefore || got[i].REAfter != want[i].REAfter {
@@ -221,7 +221,7 @@ func TestStandardizeBatchCacheDisabled(t *testing.T) {
 			t.Errorf("job %d reports cache traffic %+v with ExecCache off", i, cs)
 		}
 	}
-	if g, w := res[0].Output.Source(), seq.Output.Source(); g != w {
+	if g, w := res[0].Script.Source(), seq.Script.Source(); g != w {
 		t.Errorf("cacheless batch output diverges from sequential:\n%s\nvs\n%s", g, w)
 	}
 }

@@ -55,8 +55,8 @@ func TestStandardizeContextDeadlinePartialResult(t *testing.T) {
 	if res != nil {
 		// When the input itself executed before the deadline, the partial
 		// result must fall back to the input script.
-		if res.Output.Source() != script.MustParse(userScript).Source() {
-			t.Fatalf("partial result output is not the input:\n%s", res.Output.Source())
+		if res.Script.Source() != script.MustParse(userScript).Source() {
+			t.Fatalf("partial result output is not the input:\n%s", res.Script.Source())
 		}
 		if res.ImprovementPct != 0 {
 			t.Fatalf("partial fallback claims improvement %.2f%%", res.ImprovementPct)
@@ -229,8 +229,8 @@ func TestTracerDoesNotChangeResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resPlain.Output.Source() != resTraced.Output.Source() {
-		t.Fatalf("tracing changed the output:\n%s\nvs\n%s", resPlain.Output.Source(), resTraced.Output.Source())
+	if resPlain.Script.Source() != resTraced.Script.Source() {
+		t.Fatalf("tracing changed the output:\n%s\nvs\n%s", resPlain.Script.Source(), resTraced.Script.Source())
 	}
 	if resPlain.REAfter != resTraced.REAfter {
 		t.Fatalf("tracing changed RE: %f vs %f", resPlain.REAfter, resTraced.REAfter)

@@ -77,7 +77,7 @@ func TestChaosBatch32(t *testing.T) {
 			continue
 		}
 		// Unaffected: byte-identical to the fault-free run.
-		if g, w := res[i].Output.Source(), cleanRes[i].Output.Source(); g != w {
+		if g, w := res[i].Script.Source(), cleanRes[i].Script.Source(); g != w {
 			t.Errorf("job %d output diverges under chaos:\nchaos:\n%s\nclean:\n%s", i, g, w)
 		}
 		if res[i].REBefore != cleanRes[i].REBefore || res[i].REAfter != cleanRes[i].REAfter ||

@@ -52,9 +52,9 @@ func TestQuarantinedCandidateNeverAbortsSearch(t *testing.T) {
 	if baseline.Health.Degraded() {
 		t.Fatalf("fault-free run reports degraded health: %+v", baseline.Health)
 	}
-	added := addedStatements(input, baseline.Output)
+	added := addedStatements(input, baseline.Script)
 	if len(added) == 0 {
-		t.Fatalf("baseline added no statements; nothing to quarantine:\n%s", baseline.Output.Source())
+		t.Fatalf("baseline added no statements; nothing to quarantine:\n%s", baseline.Script.Source())
 	}
 
 	run := func(kind faults.Kind) *Result {
@@ -72,9 +72,9 @@ func TestQuarantinedCandidateNeverAbortsSearch(t *testing.T) {
 			t.Fatalf("kind %v: search aborted: %v", kind, err)
 		}
 		for _, stmt := range added {
-			if strings.Contains(res.Output.Source(), stmt) {
+			if strings.Contains(res.Script.Source(), stmt) {
 				t.Fatalf("kind %v: quarantined statement %q survived into the output:\n%s",
-					kind, stmt, res.Output.Source())
+					kind, stmt, res.Script.Source())
 			}
 		}
 		return res
@@ -86,10 +86,10 @@ func TestQuarantinedCandidateNeverAbortsSearch(t *testing.T) {
 
 	// All three prune the same candidates, so the outputs must be
 	// byte-identical: quarantining is prune-equivalent for the search result.
-	if p, e := panicked.Output.Source(), errored.Output.Source(); p != e {
+	if p, e := panicked.Script.Source(), errored.Script.Source(); p != e {
 		t.Errorf("panic-quarantined output diverges from candidate-absent output:\n%s\nvs\n%s", p, e)
 	}
-	if x, e := exhausted.Output.Source(), errored.Output.Source(); x != e {
+	if x, e := exhausted.Script.Source(), errored.Script.Source(); x != e {
 		t.Errorf("exhaust-quarantined output diverges from candidate-absent output:\n%s\nvs\n%s", x, e)
 	}
 	if panicked.REAfter != errored.REAfter || exhausted.REAfter != errored.REAfter {

@@ -47,7 +47,7 @@ func TestExecCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cache off: %v", err)
 	}
-	if got, want := resOn.Output.Source(), resOff.Output.Source(); got != want {
+	if got, want := resOn.Script.Source(), resOff.Script.Source(); got != want {
 		t.Fatalf("cache changed the output\non:\n%s\noff:\n%s", got, want)
 	}
 	if resOn.REAfter != resOff.REAfter || resOn.IntentValue != resOff.IntentValue {

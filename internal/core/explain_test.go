@@ -50,7 +50,7 @@ func TestExplainResult(t *testing.T) {
 }
 
 // TestExplainReplaysSearchPath: replaying the recorded path (Applied from
-// Input) reproduces Result.Output, and the explanations' RE deltas
+// Input) reproduces Result.Script, and the explanations' RE deltas
 // telescope to the overall RE change. The cases are jobs over generated
 // corpora plus a Titanic job whose output reads test.csv before train.csv:
 // lemmatizing that output afresh swaps the frame names df and df2, so
@@ -97,7 +97,7 @@ func TestExplainReplaysSearchPath(t *testing.T) {
 		for _, tr := range res.Applied {
 			lines = applyLines(lines, tr)
 		}
-		if got, want := dag.ToScript(lines).Source(), res.Output.Source(); got != want {
+		if got, want := dag.ToScript(lines).Source(), res.Script.Source(); got != want {
 			t.Fatalf("%s: replay gives\n%s\nwant\n%s", j.name, got, want)
 		}
 		total := 0.0
@@ -192,9 +192,9 @@ func TestStandardizeGridSeqPrefixExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grid[0][0].Output.Source() != solo.Output.Source() {
+	if grid[0][0].Script.Source() != solo.Script.Source() {
 		t.Fatalf("grid seq=2 differs from solo seq=2:\n%s\nvs\n%s",
-			grid[0][0].Output.Source(), solo.Output.Source())
+			grid[0][0].Script.Source(), solo.Script.Source())
 	}
 	if grid[1][0].ImprovementPct < grid[0][0].ImprovementPct-1e-9 {
 		t.Fatal("longer budget must not hurt")

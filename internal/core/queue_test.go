@@ -28,7 +28,7 @@ func TestQueueMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sequential %d: %v", i, err)
 		}
-		want[i] = res.Output.Source()
+		want[i] = res.Script.Source()
 	}
 
 	handles := make([]*QueuedJob, len(jobs))
@@ -47,7 +47,7 @@ func TestQueueMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		if res.Output.Source() != want[i] {
+		if res.Script.Source() != want[i] {
 			t.Errorf("job %d queue output diverges from sequential", i)
 		}
 		if h.State() != JobDone {

@@ -127,9 +127,9 @@ func FromCorpus(cc *CuratedCorpus, cfg Config) *Standardizer {
 
 // Result reports one standardization run.
 type Result struct {
-	// Output is the standardized script ŝ_u (the input script when no
+	// Script is the standardized script ŝ_u (the input script when no
 	// constraint-satisfying improvement was found).
-	Output *script.Script
+	Script *script.Script
 	// REBefore and REAfter are the relative entropies of input and output.
 	REBefore, REAfter float64
 	// ImprovementPct is the paper's % improvement metric.
@@ -137,7 +137,7 @@ type Result struct {
 	// IntentValue is the measured user-intent value of the output (Δ_J or Δ_M).
 	IntentValue float64
 	// Input is the lemmatized input script, one atom per line: the start
-	// of the path Applied takes to Output.
+	// of the path Applied takes to Script.
 	Input []dag.LineInfo
 	// Applied lists the accepted transformation sequence.
 	Applied []Transformation
@@ -333,7 +333,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 				gs.verifyDegraded++
 			}
 			res.Timings.VerifyConstraints = time.Since(t2)
-			res.Output = dag.ToScript(best.lines)
+			res.Script = dag.ToScript(best.lines)
 			res.REAfter = best.re
 			res.ImprovementPct = entropy.Improvement(res.REBefore, res.REAfter)
 			res.Applied = best.applied

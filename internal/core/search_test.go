@@ -148,8 +148,8 @@ func TestStandardizeImprovesRE(t *testing.T) {
 	}
 	// Output must execute.
 	srcs := map[string]*frame.Frame{"diabetes.csv": diabetesFrame(t, 120)}
-	if err := interp.CheckExecutes(res.Output, srcs, interp.Options{Seed: 1}); err != nil {
-		t.Fatalf("output script does not execute: %v\n%s", err, res.Output.Source())
+	if err := interp.CheckExecutes(res.Script, srcs, interp.Options{Seed: 1}); err != nil {
+		t.Fatalf("output script does not execute: %v\n%s", err, res.Script.Source())
 	}
 }
 
@@ -163,7 +163,7 @@ func TestStandardizeRespectsJaccard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Output.Source() != dag.Build(su).Script.Source() {
+	if res.Script.Source() != dag.Build(su).Script.Source() {
 		// A modification was accepted: the measured Jaccard must satisfy τ.
 		if res.IntentValue < 0.9 {
 			t.Fatalf("intent value %v violates τ=0.9", res.IntentValue)
@@ -180,7 +180,7 @@ func TestStandardizeAddsCommonStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Output.Source()
+	out := res.Script.Source()
 	if !strings.Contains(out, "df = df.fillna(df.mean())") &&
 		!strings.Contains(out, `df = df[df["SkinThickness"] < 80]`) &&
 		!strings.Contains(out, `y = df["Outcome"]`) {
@@ -199,8 +199,8 @@ func TestStandardizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Output.Source() != b.Output.Source() {
-		t.Fatalf("non-deterministic:\n%s\nvs\n%s", a.Output.Source(), b.Output.Source())
+	if a.Script.Source() != b.Script.Source() {
+		t.Fatalf("non-deterministic:\n%s\nvs\n%s", a.Script.Source(), b.Script.Source())
 	}
 }
 
@@ -225,7 +225,7 @@ func TestLateCheckingStillExecutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := map[string]*frame.Frame{"diabetes.csv": diabetesFrame(t, 120)}
-	if err := interp.CheckExecutes(res.Output, srcs, interp.Options{Seed: 1}); err != nil {
+	if err := interp.CheckExecutes(res.Script, srcs, interp.Options{Seed: 1}); err != nil {
 		t.Fatalf("late-checked output does not execute: %v", err)
 	}
 }
@@ -438,7 +438,7 @@ func TestVerifyFallsBackToOriginal(t *testing.T) {
 	// The age filter removes rows, so τ_J=1.0 rejects every candidate and
 	// the original script must come back.
 	if res.ImprovementPct != 0 {
-		t.Fatalf("expected fallback, got improvement %v:\n%s", res.ImprovementPct, res.Output.Source())
+		t.Fatalf("expected fallback, got improvement %v:\n%s", res.ImprovementPct, res.Script.Source())
 	}
 }
 

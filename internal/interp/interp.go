@@ -115,9 +115,6 @@ type Result struct {
 type Options struct {
 	// Seed drives df.sample for deterministic runs. Defaults to 1.
 	Seed int64
-	// MaxRows, when positive, samples each source frame down to at most
-	// MaxRows rows before execution (the paper's optimization 5).
-	MaxRows int
 	// Limits is the per-run resource governor; nil disables it.
 	Limits *Limits
 	// Faults is the deterministic chaos-injection hook; nil (the
@@ -125,11 +122,12 @@ type Options struct {
 	Faults *faults.Injector
 }
 
-// SampleSources applies the MaxRows input-sampling optimization once: every
-// frame larger than maxRows is down-sampled deterministically with the seed.
-// The input map is returned unchanged when maxRows is not positive. Callers
-// that run many scripts against the same sources (the search loop) sample
-// once up front instead of paying the loop on every Run.
+// SampleSources applies the input-sampling optimization (the paper's
+// optimization 5): every frame larger than maxRows is down-sampled
+// deterministically with the seed. The input map is returned unchanged
+// when maxRows is not positive. Run and SessionCache execute over the
+// sources they are given, so callers that want sampling (the search loop)
+// sample once up front and pass the result.
 func SampleSources(sources map[string]*frame.Frame, maxRows int, seed int64) map[string]*frame.Frame {
 	if maxRows <= 0 {
 		return sources
@@ -161,7 +159,7 @@ func RunContext(ctx context.Context, s *script.Script, sources map[string]*frame
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	env := newEnv(SampleSources(sources, opts.MaxRows, opts.Seed), opts.Seed, opts.Limits, opts.Faults)
+	env := newEnv(sources, opts.Seed, opts.Limits, opts.Faults)
 	for i, st := range s.Stmts {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("interp: canceled before line %d (%s): %w", i+1, st.Source(), err)

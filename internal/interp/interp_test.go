@@ -400,7 +400,7 @@ func TestSamplingOption(t *testing.T) {
 	s := script.MustParse(`import pandas as pd
 df = pd.read_csv("train.csv")
 `)
-	res, err := Run(s, titanicSources(t), Options{Seed: 3, MaxRows: 4})
+	res, err := Run(s, SampleSources(titanicSources(t), 4, 3), Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

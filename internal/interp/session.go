@@ -91,8 +91,8 @@ type SessionCache struct {
 // DefaultCacheSize bounds the trie when the caller passes maxNodes <= 0.
 const DefaultCacheSize = 8192
 
-// NewSessionCache builds a cache over the given sources. MaxRows sampling
-// is applied once here (not per run); opts.Seed seeds every execution.
+// NewSessionCache builds a cache over the given sources; opts.Seed seeds
+// every execution.
 func NewSessionCache(sources map[string]*frame.Frame, opts Options, maxNodes int) *SessionCache {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -100,9 +100,8 @@ func NewSessionCache(sources map[string]*frame.Frame, opts Options, maxNodes int
 	if maxNodes <= 0 {
 		maxNodes = DefaultCacheSize
 	}
-	srcs := SampleSources(sources, opts.MaxRows, opts.Seed)
 	return &SessionCache{
-		root:     &trieNode{env: newEnv(srcs, opts.Seed, opts.Limits, opts.Faults)},
+		root:     &trieNode{env: newEnv(sources, opts.Seed, opts.Limits, opts.Faults)},
 		maxNodes: maxNodes,
 		limits:   opts.Limits,
 	}

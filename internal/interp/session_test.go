@@ -72,10 +72,11 @@ func TestSessionCacheMatchesRunCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Seed: 5, MaxRows: 40} // exercise pre-sampling too
-	cache := NewSessionCache(gen.Sources, opts, 0)
+	srcs := SampleSources(gen.Sources, 40, 5) // exercise pre-sampling too
+	opts := Options{Seed: 5}
+	cache := NewSessionCache(srcs, opts, 0)
 	for i, gs := range gen.Scripts {
-		plain, plainErr := Run(gs.Script, gen.Sources, opts)
+		plain, plainErr := Run(gs.Script, srcs, opts)
 		cached, cachedErr := cache.Run(gs.Script)
 		assertSameResult(t, fmt.Sprintf("script %d", i), plain, plainErr, cached, cachedErr)
 	}

@@ -124,7 +124,7 @@ func TestStandardizationDetectsLeakage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inj.Removed(res.Output) {
-		t.Fatalf("leakage not removed:\n%s", res.Output.Source())
+	if !inj.Removed(res.Script) {
+		t.Fatalf("leakage not removed:\n%s", res.Script.Source())
 	}
 }

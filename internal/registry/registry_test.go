@@ -350,7 +350,7 @@ func TestIncrementalCurationEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hashes[i] = sha256.Sum256([]byte(res.Output.Source()))
+		hashes[i] = sha256.Sum256([]byte(res.Script.Source()))
 	}
 	if hashes[0] != hashes[1] {
 		t.Fatal("standardization outputs diverged between incremental and from-scratch corpora")

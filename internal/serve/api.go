@@ -360,21 +360,20 @@ type StoreHealth struct {
 	Jobs int `json:"jobs"`
 }
 
-// toWireResult converts a facade Result (possibly a partial one) plus its
-// output hash into the wire shape.
-func toWireResult(res *lucidscript.Result, outputHash string) *JobResult {
+// toWireResult converts a Result (possibly a partial one) plus its output
+// hash into the wire shape. sys must be the System the job ran on: it
+// explains the applied path.
+func toWireResult(sys *lucidscript.System, res *lucidscript.Result, outputHash string) *JobResult {
 	if res == nil {
 		return nil
 	}
 	jr := &JobResult{
-		Script:          res.Script.Source(),
-		OutputHash:      outputHash,
-		REBefore:        res.REBefore,
-		REAfter:         res.REAfter,
-		ImprovementPct:  res.ImprovementPct,
-		IntentValue:     res.IntentValue,
-		Transformations: res.Transformations,
-		Explanations:    res.Explanations,
+		Script:         res.Script.Source(),
+		OutputHash:     outputHash,
+		REBefore:       res.REBefore,
+		REAfter:        res.REAfter,
+		ImprovementPct: res.ImprovementPct,
+		IntentValue:    res.IntentValue,
 		Timings: JobTimings{
 			CurateMS: ms(res.Timings.CurateSearchSpace),
 			StepsMS:  ms(res.Timings.GetSteps),
@@ -383,6 +382,10 @@ func toWireResult(res *lucidscript.Result, outputHash string) *JobResult {
 			VerifyMS: ms(res.Timings.VerifyConstraints),
 			TotalMS:  ms(res.Timings.Total),
 		},
+	}
+	for _, ex := range sys.Explain(res) { // one per Applied step
+		jr.Transformations = append(jr.Transformations, ex.Transformation.String())
+		jr.Explanations = append(jr.Explanations, ex.String())
 	}
 	if res.Health.Degraded() {
 		jr.Health = &JobHealth{

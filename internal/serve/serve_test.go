@@ -114,6 +114,60 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
+// TestServeWireExplanations pins the v1 wire strings of a served result:
+// transformations[i] is Applied[i].String() and explanations[i] is
+// Explain(res)[i].String() of a direct Standardize of the same script on
+// an identically-built System. At least one job must apply edits, so the
+// comparison is never vacuous.
+func TestServeWireExplanations(t *testing.T) {
+	sys := genSystem(t, 42, genOptions())
+	_, client := startServer(t, map[string]*lucidscript.System{"gen": sys}, Config{Workers: 2})
+	direct := genSystem(t, 42, genOptions())
+	ctx := context.Background()
+
+	edited := 0
+	for i, su := range gen.New(7).Scripts(4) {
+		want, err := direct.Standardize(su)
+		if err != nil {
+			t.Fatalf("direct %d: %v", i, err)
+		}
+		var wantTr, wantEx []string
+		for _, tr := range want.Applied {
+			wantTr = append(wantTr, tr.String())
+		}
+		for _, ex := range direct.Explain(want) {
+			wantEx = append(wantEx, ex.String())
+		}
+		if len(wantEx) != len(wantTr) {
+			t.Fatalf("job %d: %d explanations for %d transformations", i, len(wantEx), len(wantTr))
+		}
+		if len(wantTr) > 0 {
+			edited++
+		}
+
+		sub, err := client.Submit(ctx, "gen", su.Source(), nil)
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		st, err := client.Wait(ctx, sub.ID, 5*time.Millisecond)
+		if err != nil {
+			t.Fatalf("Wait %d: %v", i, err)
+		}
+		if st.State != StateDone || st.Result == nil {
+			t.Fatalf("job %d state = %q (error %q)", i, st.State, st.Error)
+		}
+		if got := strings.Join(st.Result.Transformations, "\n"); got != strings.Join(wantTr, "\n") {
+			t.Errorf("job %d transformations:\nserved:\n%s\ndirect:\n%s", i, got, strings.Join(wantTr, "\n"))
+		}
+		if got := strings.Join(st.Result.Explanations, "\n"); got != strings.Join(wantEx, "\n") {
+			t.Errorf("job %d explanations:\nserved:\n%s\ndirect:\n%s", i, got, strings.Join(wantEx, "\n"))
+		}
+	}
+	if edited == 0 {
+		t.Fatal("no job applied a transformation; the wire comparison is vacuous")
+	}
+}
+
 // TestServeCurationPaidOnce is the acceptance criterion that a served
 // dataset pays corpus curation exactly once no matter how many requests
 // arrive: eight submissions, one core.Curate call (the one NewSystem made).

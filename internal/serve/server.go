@@ -564,7 +564,7 @@ func (s *Server) finalizeJob(rec *jobRecord, cancel context.CancelFunc) {
 		CorpusVersion:  rec.corpus.version,
 		SubmittedAt:    rec.submitted,
 		FinishedAt:     &now,
-		Result:         toWireResult(res, hash),
+		Result:         toWireResult(rec.corpus.sys, res, hash),
 	}
 	if hashErr != nil && st.Result != nil {
 		st.Result.OutputHashError = hashErr.Error()

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"lucidscript/internal/core"
+	"lucidscript/internal/dag"
 	"lucidscript/internal/entropy"
 	"lucidscript/internal/faults"
 	"lucidscript/internal/frame"
@@ -459,48 +460,22 @@ const (
 // (the paper's Figure 7 decomposition); see core.Timings for the fields.
 type Timings = core.Timings
 
-// ExecCacheStats reports the execution-prefix cache's effectiveness for
-// one standardization (all zeros when the cache is disabled).
-type ExecCacheStats struct {
-	// Hits and Misses count per-statement prefix lookups.
-	Hits, Misses int64
-	// Evictions counts cache entries dropped to stay within the size bound.
-	Evictions int64
-	// StmtsExecuted and StmtsSkipped count interpreter statement
-	// executions performed vs. avoided by prefix reuse.
-	StmtsExecuted, StmtsSkipped int64
-	// EstSavedTime extrapolates the execution time the cache avoided.
-	EstSavedTime time.Duration
-}
+// Transformation is one applied add or delete of a line atom at a
+// position (Definition 3.4); String renders it as "add @2: <step>".
+type Transformation = core.Transformation
 
-// Result reports one standardization.
-type Result struct {
-	// Script is the standardized output (the input when no admissible
-	// improvement exists).
-	Script *Script
-	// REBefore and REAfter are the relative-entropy scores.
-	REBefore, REAfter float64
-	// ImprovementPct is (REBefore−REAfter)/REBefore × 100.
-	ImprovementPct float64
-	// IntentValue is the measured Δ_J or Δ_M of the accepted output.
-	IntentValue float64
-	// Transformations describes the applied edits, in order.
-	Transformations []string
-	// Explanations justifies each edit: corpus frequency, RE impact, and a
-	// one-sentence rationale (parallel to Transformations).
-	Explanations []string
-	// ExecCache reports the execution-prefix cache's effectiveness.
-	ExecCache ExecCacheStats
-	// Timings is the per-phase runtime breakdown of this standardization.
-	Timings Timings
-	// Health reports the containment this run needed: candidates
-	// quarantined for contained panics or ExecLimits budget trips, corpus
-	// scripts skipped during curation, and whether verification degraded
-	// to sampled-tuple mode. The zero value is a fully healthy run; a
-	// non-zero Health is informational — the output equals what the same
-	// search would produce without the quarantined candidates.
-	Health Health
-}
+// Explanation justifies one applied transformation: its corpus frequency,
+// its RE delta and a one-sentence rationale. See System.Explain.
+type Explanation = core.Explanation
+
+// Result reports one standardization: the standardized Script ŝ_u (the
+// input when no admissible improvement exists), the RE scores and the
+// paper's % improvement, the measured intent value, the Applied
+// transformation sequence, the execution-prefix CacheStats, the per-phase
+// Timings, and the containment Health needed. A non-zero Health is
+// informational: the output equals what the same search would produce
+// without the quarantined candidates.
+type Result = core.Result
 
 // System is a standardizer bound to one corpus and dataset; it is safe to
 // reuse for many input scripts (the search space is curated once).
@@ -563,11 +538,7 @@ func (s *System) Standardize(input *Script) (*Result, error) {
 func (s *System) StandardizeContext(ctx context.Context, input *Script) (*Result, error) {
 	ctx, cancel := s.searchContext(ctx)
 	defer cancel()
-	res, err := s.std.StandardizeContext(ctx, input)
-	if res == nil {
-		return nil, err
-	}
-	return s.toResult(res), err
+	return s.std.StandardizeContext(ctx, input)
 }
 
 // BatchError aggregates per-job failures from StandardizeBatch. Errs is
@@ -626,19 +597,11 @@ func (s *System) StandardizeBatch(jobs []*Script) ([]*Result, error) {
 // is parallel to jobs.
 func (s *System) StandardizeBatchContext(ctx context.Context, jobs []*Script) ([]*Result, error) {
 	eng := core.NewEngine(s.std, s.batchWorkers, s.timeout)
-	coreRes, coreErrs := eng.StandardizeBatch(ctx, jobs)
-	results := make([]*Result, len(jobs))
-	failed := false
-	for i, cr := range coreRes {
-		if cr != nil {
-			results[i] = s.toResult(cr)
+	results, errs := eng.StandardizeBatch(ctx, jobs)
+	for _, err := range errs {
+		if err != nil {
+			return results, &BatchError{Errs: errs}
 		}
-		if coreErrs[i] != nil {
-			failed = true
-		}
-	}
-	if failed {
-		return results, &BatchError{Errs: coreErrs}
 	}
 	return results, nil
 }
@@ -651,33 +614,11 @@ func (s *System) searchContext(ctx context.Context) (context.Context, context.Ca
 	return ctx, func() {}
 }
 
-// toResult converts a core result into the public shape.
-func (s *System) toResult(res *core.Result) *Result {
-	out := &Result{
-		Script:         res.Output,
-		REBefore:       res.REBefore,
-		REAfter:        res.REAfter,
-		ImprovementPct: res.ImprovementPct,
-		IntentValue:    res.IntentValue,
-		ExecCache: ExecCacheStats{
-			Hits:          res.CacheStats.Hits,
-			Misses:        res.CacheStats.Misses,
-			Evictions:     res.CacheStats.Evictions,
-			StmtsExecuted: res.CacheStats.StmtsExecuted,
-			StmtsSkipped:  res.CacheStats.StmtsSkipped,
-			EstSavedTime:  res.CacheStats.EstSavedTime(),
-		},
-		Timings: res.Timings,
-		Health:  res.Health,
-	}
-	for _, tr := range res.Applied {
-		out.Transformations = append(out.Transformations, tr.String())
-	}
-	for _, ex := range s.std.ExplainResult(res) {
-		out.Explanations = append(out.Explanations, ex.String())
-	}
-	return out
-}
+// Explain justifies each transformation res applied, in order: the
+// search path is replayed from the lemmatized input, and each step reports
+// its corpus frequency, its RE delta and a rationale. res must come from
+// this System (its corpus scores the replay). Nil when nothing was applied.
+func (s *System) Explain(res *Result) []Explanation { return s.std.ExplainResult(res) }
 
 // ParetoPoint is one point of the intent-threshold / standardness
 // trade-off curve: the threshold explored (Tau), the standardness
@@ -741,10 +682,13 @@ func (s *System) Stats() CorpusStats {
 // immutable, so the System stays valid even as the registry itself moves
 // to newer versions.
 func NewSystemFromRegistry(reg *registry.Registry, sources map[string]*Frame, opts Options) (*System, error) {
+	vocab := reg.Vocab()
+	if vocab.NumScripts == 0 {
+		return nil, ErrEmptyCorpus
+	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	vocab := reg.Vocab()
 	cc := &core.CuratedCorpus{Vocab: vocab, Sources: sources, Version: reg.Version()}
 	return newSystem(cc, vocab.NumScripts, opts.resolved()), nil
 }
@@ -774,7 +718,7 @@ func (s *System) AnomalyReport(sc *Script, maxFrequency float64) string {
 // RE computes the standardness (relative entropy) of a script against this
 // system's corpus. Lower is more standard.
 func (s *System) RE(sc *Script) float64 {
-	return s.std.Corpus.Vocab.RE(buildGraph(sc))
+	return s.std.Corpus.Vocab.RE(dag.Build(sc))
 }
 
 // Improvement returns the paper's % improvement between two RE values.

@@ -95,7 +95,7 @@ df = pd.get_dummies(df)
 	if res.REAfter >= res.REBefore {
 		t.Fatal("RE did not drop")
 	}
-	if len(res.Transformations) == 0 {
+	if len(res.Applied) == 0 {
 		t.Fatal("no transformations reported")
 	}
 	if res.Script == nil || res.Script.NumStmts() == 0 {
@@ -240,5 +240,18 @@ df = df.fillna(df.median())
 	}
 	if a.Script.Source() != b.Script.Source() {
 		t.Fatalf("registry system differs:\n%s\nvs\n%s", a.Script.Source(), b.Script.Source())
+	}
+}
+
+// TestNewSystemFromRegistryEmpty: a registry with no scripts fails like an
+// empty in-process corpus instead of building a System that returns RE 0.
+func TestNewSystemFromRegistryEmpty(t *testing.T) {
+	reg, err := registry.Create(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := ReadCSV(strings.NewReader(testCSV))
+	if _, err := NewSystemFromRegistry(reg, map[string]*Frame{"diabetes.csv": data}, Options{}); !errors.Is(err, ErrEmptyCorpus) {
+		t.Fatalf("err = %v, want ErrEmptyCorpus", err)
 	}
 }

@@ -218,11 +218,11 @@ func TestFacadeTracerAndMetrics(t *testing.T) {
 	if last.Dur != res.Timings.Total {
 		t.Fatalf("search_done dur %s != Timings.Total %s", last.Dur, res.Timings.Total)
 	}
-	if got := m.Value(MetricCacheHits); got != res.ExecCache.Hits {
-		t.Fatalf("cache hits metric %d != result %d", got, res.ExecCache.Hits)
+	if got := m.Value(MetricCacheHits); got != res.CacheStats.Hits {
+		t.Fatalf("cache hits metric %d != result %d", got, res.CacheStats.Hits)
 	}
-	if got := m.Value(MetricStatementsExecuted); got != res.ExecCache.StmtsExecuted {
-		t.Fatalf("statements metric %d != result %d", got, res.ExecCache.StmtsExecuted)
+	if got := m.Value(MetricStatementsExecuted); got != res.CacheStats.StmtsExecuted {
+		t.Fatalf("statements metric %d != result %d", got, res.CacheStats.StmtsExecuted)
 	}
 	var prom strings.Builder
 	if err := m.WritePrometheus(&prom); err != nil {

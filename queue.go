@@ -6,11 +6,7 @@
 // arrive over the System's lifetime.
 package lucidscript
 
-import (
-	"context"
-
-	"lucidscript/internal/core"
-)
+import "lucidscript/internal/core"
 
 // The admission-control errors surfaced by JobQueue.Submit, re-exported
 // for errors.Is. An HTTP front end maps ErrQueueFull to 429 and
@@ -41,17 +37,21 @@ const (
 type QueueStats = core.QueueStats
 
 // JobQueue is a long-lived, admission-controlled standardization queue
-// over this System's curated corpus — built once, then fed jobs for the
+// over one System's curated corpus, built once and then fed jobs for the
 // life of a service. Submit never blocks: a job is either admitted into
 // the bounded buffer or rejected with ErrQueueFull, which is how a server
 // sheds load instead of stacking goroutines. All jobs share one
 // execution-prefix session cache sized for the worker pool, with the same
 // per-job isolation as StandardizeBatch: a panic, resource-budget trip, or
-// timeout in one job never touches another.
-type JobQueue struct {
-	sys *System
-	q   *core.Queue
-}
+// timeout in one job never touches another. Close fails still-queued jobs
+// with ErrQueueClosed; Drain runs them to completion first, which is how a
+// server retires the queue of a hot-swapped corpus version.
+type JobQueue = core.Queue
+
+// QueuedJob is one standardization admitted by JobQueue.Submit: watch
+// Done, then read Result, or just Wait. Cancel stops it with
+// StandardizeContext's partial-result-on-cancel semantics.
+type QueuedJob = core.QueuedJob
 
 // NewJobQueue builds a running queue: workers consume jobs immediately and
 // until Close. workers ≤ 0 resolves to Options.BatchWorkers; depth ≤ 0
@@ -64,94 +64,5 @@ func (s *System) NewJobQueue(workers, depth int) *JobQueue {
 	if depth <= 0 {
 		depth = 2 * workers
 	}
-	eng := core.NewEngine(s.std, workers, s.timeout)
-	return &JobQueue{sys: s, q: eng.NewQueue(depth)}
-}
-
-// Submit admits one standardization without blocking. The returned
-// QueuedJob is live — watch Done, then Result, or just Wait. The error is
-// ErrQueueFull when the buffer is at capacity and ErrQueueClosed once
-// Close has begun. ctx covers the job's whole life: canceling it while the
-// job is still queued completes the job with ErrCanceled without running
-// it.
-func (jq *JobQueue) Submit(ctx context.Context, sc *Script) (*QueuedJob, error) {
-	return jq.SubmitObserved(ctx, sc, nil)
-}
-
-// SubmitObserved is Submit with a state-transition hook: observe is called
-// with JobRunning when a worker picks the job up and JobDone when it
-// finishes (after the outcome is recorded). A durable serving tier appends
-// each transition to its write-ahead log from here. observe runs on the
-// worker goroutine — keep it fast, and do not call back into the queue.
-func (jq *JobQueue) SubmitObserved(ctx context.Context, sc *Script, observe func(JobState)) (*QueuedJob, error) {
-	j, err := jq.q.SubmitObserved(ctx, sc, observe)
-	if err != nil {
-		return nil, err
-	}
-	return &QueuedJob{sys: jq.sys, j: j}, nil
-}
-
-// Close stops admission, lets in-flight jobs finish, and fails every
-// still-queued job with ErrQueueClosed. Idempotent; blocks until the drain
-// completes.
-func (jq *JobQueue) Close() { jq.q.Close() }
-
-// Drain stops admission but — unlike Close — runs every already-admitted
-// job to completion before returning. It is the corpus hot-swap retirement
-// path: after a server swaps in a queue over a new corpus version, the old
-// queue drains so its jobs finish on the version they were admitted
-// against. Idempotent, and safe to call concurrently with Close.
-func (jq *JobQueue) Drain() { jq.q.Drain() }
-
-// Stats snapshots the queue's admission state for health endpoints.
-func (jq *JobQueue) Stats() QueueStats { return jq.q.Stats() }
-
-// QueuedJob is one standardization admitted by JobQueue.Submit.
-type QueuedJob struct {
-	sys *System
-	j   *core.QueuedJob
-}
-
-// ID is the job's queue-assigned sequence number (0-based).
-func (j *QueuedJob) ID() int64 { return j.j.ID() }
-
-// State reports where the job is in its lifecycle.
-func (j *QueuedJob) State() JobState { return j.j.State() }
-
-// Done is closed when the job finishes — successfully, with an error, or
-// by cancellation.
-func (j *QueuedJob) Done() <-chan struct{} { return j.j.Done() }
-
-// Cancel stops the job: a queued job completes with ErrCanceled without
-// ever running; a running job stops mid-search with StandardizeContext's
-// partial-result-on-cancel semantics. Safe to call at any time.
-func (j *QueuedJob) Cancel() { j.j.Cancel() }
-
-// Result blocks until the job finishes (Done is closed) and returns its
-// outcome. Both values follow StandardizeContext conventions — a partial
-// Result can accompany ErrCanceled / ErrDeadlineExceeded. Use Wait for a
-// bounded block.
-func (j *QueuedJob) Result() (*Result, error) {
-	res, err := j.j.Result()
-	return j.convert(res), err
-}
-
-// Wait blocks until the job finishes or ctx is canceled. Canceling ctx
-// abandons only the wait — the job keeps running; use Cancel to stop it.
-func (j *QueuedJob) Wait(ctx context.Context) (*Result, error) {
-	res, err := j.j.Wait(ctx)
-	if err != nil && res == nil {
-		// Either the wait was abandoned or the job failed without a
-		// partial result; in both cases there is nothing to convert.
-		return nil, err
-	}
-	return j.convert(res), err
-}
-
-// convert maps the core result through the System's facade conversion.
-func (j *QueuedJob) convert(res *core.Result) *Result {
-	if res == nil {
-		return nil
-	}
-	return j.sys.toResult(res)
+	return core.NewEngine(s.std, workers, s.timeout).NewQueue(depth)
 }
