@@ -167,6 +167,31 @@ func TestLSStdCLI(t *testing.T) {
 	}
 }
 
+// TestLSStdCLIOutputHash pins lsstd's "output hash:" line byte for byte,
+// once where a corpus step is adopted and once where τ_J keeps the input.
+// The digests are those of the fixture's output tables as encoding/csv
+// serialized them, and lsstd takes them from the search rather than from
+// a second execution.
+func TestLSStdCLIOutputHash(t *testing.T) {
+	bin := buildCLIs(t)
+	_, csv, scriptPath, corpusDir := writeFixtures(t)
+	for _, tc := range []struct{ tau, want string }{
+		{"0.5", "output hash: 719a6ca8628fdeb22ed4ddca770673f19fe09d8a90228c55253348140c2bc5c3\n"},
+		{"0.99", "output hash: f5c2e38955bbd8ecd2bd8cd22fcfc6c545abf0b1d53d2439599d03af6ff2ba76\n"},
+	} {
+		cmd := exec.Command(filepath.Join(bin, "lsstd"),
+			"-script", scriptPath, "-corpus", corpusDir, "-data", csv, "-tau", tc.tau, "-seq", "6")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("lsstd -tau %s: %v\n%s", tc.tau, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("lsstd -tau %s stderr lacks %q:\n%s", tc.tau, tc.want, stderr.String())
+		}
+	}
+}
+
 // TestLSStdCLIMaxSteps arms the resource governor from the command line
 // with a statement budget the input script itself cannot fit in, and
 // asserts the typed failure surfaces through the CLI.

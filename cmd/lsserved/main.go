@@ -79,7 +79,7 @@ func main() {
 		registryDir  = flag.String("registry-dir", "", "corpus-registry base directory; datasets persist curated state under <dir>/<name> and warm-boot from it (empty = curate every boot)")
 		adminToken   = flag.String("admin-token", "", "bearer token for admin endpoints (corpus reload); empty disables them")
 		snapEvery    = flag.Int("snapshot-every", 0, "WAL appends between job-store snapshots (default 512; needs -data-dir)")
-		maxRows      = flag.Int("max-rows", 0, "row cap on the sampled sources candidates execute and verify against; only the output hash reads the full data (0 = default 50000, negative = no sampling)")
+		maxRows      = flag.Int("max-rows", 0, "row cap on the sampled sources candidates execute and verify against; a job whose tables were sampled re-runs its output script on the full data for the output hash (0 = default 50000, negative = no sampling)")
 		search       = cliflags.RegisterSearch(flag.CommandLine)
 		budgets      = cliflags.RegisterBudgets(flag.CommandLine)
 		dataPaths    []string

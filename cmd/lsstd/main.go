@@ -172,11 +172,16 @@ func main() {
 		res.REBefore, res.REAfter, res.ImprovementPct, res.IntentValue)
 	// The digest of the standardized script's output table over the full
 	// data; lsserved returns the same value per job (result.output_hash), so
-	// a CLI run and a served run are directly comparable.
-	if hash, err := sys.OutputHash(res.Script); err == nil {
+	// a CLI run and a served run are directly comparable. The search carries
+	// it unless it ran on sampled sources; then the script runs again.
+	hash, hashErr := res.OutputHash, error(nil)
+	if hash == "" {
+		hash, hashErr = sys.OutputHash(res.Script)
+	}
+	if hashErr == nil {
 		fmt.Fprintf(os.Stderr, "output hash: %s\n", hash)
 	} else {
-		fmt.Fprintf(os.Stderr, "output hash unavailable: %v\n", err)
+		fmt.Fprintf(os.Stderr, "output hash unavailable: %v\n", hashErr)
 	}
 	for _, tr := range res.Applied {
 		fmt.Fprintln(os.Stderr, "  "+tr.String())

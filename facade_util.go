@@ -2,10 +2,7 @@ package lucidscript
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
-	"fmt"
 
 	"lucidscript/internal/dag"
 )
@@ -24,7 +21,9 @@ var ErrNoOutput = errors.New("lucidscript: script produced no output table")
 // serialization. Because the digest covers the materialized table — not
 // the script text — it is the cheap way to confirm that two standardized
 // scripts are output-equivalent: lsstd prints it, the HTTP service returns
-// it per job, and the e2e tests compare the two.
+// it per job, and the e2e tests compare the two. A Result whose search
+// verified its output on the full sources already carries this digest as
+// Result.OutputHash; this re-execution is for every other script.
 func (s *System) OutputHash(sc *Script) (string, error) {
 	return s.OutputHashContext(context.Background(), sc)
 }
@@ -39,9 +38,5 @@ func (s *System) OutputHashContext(ctx context.Context, sc *Script) (string, err
 	if out == nil {
 		return "", ErrNoOutput
 	}
-	h := sha256.New()
-	if err := out.WriteCSV(h); err != nil {
-		return "", fmt.Errorf("lucidscript: hashing output table: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return out.Digest(), nil
 }

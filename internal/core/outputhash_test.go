@@ -1,0 +1,164 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"lucidscript/internal/corpusgen"
+	"lucidscript/internal/faults"
+	"lucidscript/internal/gen"
+	"lucidscript/internal/intent"
+	"lucidscript/internal/script"
+)
+
+// rehash is what a caller without a carried digest does: run the script on
+// the full sources and digest its output (System.OutputHash).
+func rehash(t *testing.T, st *Standardizer, sc *script.Script) string {
+	t.Helper()
+	out, err := st.RunOutput(context.Background(), sc)
+	if err != nil || out == nil {
+		t.Fatalf("re-executing the output script: out %v, err %v", out, err)
+	}
+	return out.Digest()
+}
+
+type hashJob struct {
+	name string
+	st   *Standardizer
+	su   *script.Script
+}
+
+// hashJobs are gen seeds 1-6 (three jobs each, 120-row sources) plus the
+// golden Titanic job, under the given MaxRows (0: no sampling).
+func hashJobs(t *testing.T, maxRows int) []hashJob {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.SeqLength = 4
+	cfg.MaxRows = maxRows
+	cfg.Constraint.Tau = 0.5
+	var jobs []hashJob
+	for seed := int64(1); seed <= 6; seed++ {
+		g := gen.New(seed)
+		st := New(g.Scripts(10), g.Sources(120), cfg)
+		for i, su := range g.Scripts(3) {
+			jobs = append(jobs, hashJob{fmt.Sprintf("gen seed %d job %d", seed, i), st, su})
+		}
+	}
+	comp, err := corpusgen.Get("Titanic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	titanic, err := comp.Generate(corpusgen.GenOptions{Seed: 7, RowScale: 0.1, NumScripts: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcfg := DefaultConfig()
+	tcfg.SeqLength, tcfg.MaxRows, tcfg.Seed = 5, maxRows, 7
+	tcfg.Constraint.Tau = 0.8
+	return append(jobs, hashJob{"titanic", New(titanic.ScriptsOnly(), titanic.Sources, tcfg), titanic.Sample(1, 21)[0]})
+}
+
+// TestCarriedOutputHash checks that the digest a search carries out of
+// verification equals re-executing the output script on the full sources,
+// whether a candidate or the input won, and that no digest is carried
+// when the search did not verify on the full sources. Each job runs as a
+// two-cell grid whose second τ_J no output can meet, so the input wins it.
+func TestCarriedOutputHash(t *testing.T) {
+	candidateWins, inputWins := 0, 0
+	for _, j := range hashJobs(t, 0) {
+		loose := j.st.Config.Constraint
+		strict := loose
+		strict.Tau = 1.01
+		grid, err := j.st.StandardizeGrid(j.su, []int{j.st.Config.SeqLength}, []intent.Constraint{loose, strict})
+		if err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+		for _, res := range grid[0] {
+			if res.OutputHash == "" {
+				t.Fatalf("%s: no carried output hash on unsampled sources", j.name)
+			}
+			if want := rehash(t, j.st, res.Script); res.OutputHash != want {
+				t.Fatalf("%s: carried hash %s, re-executed %s", j.name, res.OutputHash, want)
+			}
+			if len(res.Applied) > 0 {
+				candidateWins++
+			} else {
+				inputWins++
+			}
+		}
+	}
+	if candidateWins == 0 || inputWins == 0 {
+		t.Fatalf("candidate won %d cells, input won %d; both cases must be checked", candidateWins, inputWins)
+	}
+
+	t.Run("sampled", func(t *testing.T) {
+		for _, j := range hashJobs(t, 50) {
+			res, err := j.st.Standardize(j.su)
+			if err != nil {
+				t.Fatalf("%s: %v", j.name, err)
+			}
+			if res.OutputHash != "" {
+				t.Fatalf("%s: MaxRows 50 sampled the sources, yet a hash was carried", j.name)
+			}
+		}
+	})
+
+	t.Run("degraded", func(t *testing.T) {
+		// Without early checks the first run of the fault-free winner's
+		// added statements is its verification run; a budget trip there
+		// sends it to sampled-tuple verification.
+		cfg := DefaultConfig()
+		cfg.SeqLength = 8
+		cfg.EarlyCheck = false
+		cfg.Constraint.Tau = 0.5
+		base := newStandardizer(t, cfg)
+		input := script.MustParse(userScript)
+		baseline, err := base.Standardize(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rules []faults.Rule
+		for _, stmt := range addedStatements(input, baseline.Script) {
+			rules = append(rules, faults.Rule{Site: faults.SiteCacheStep, Key: stmt, Kind: faults.KindExhaust, Prob: 1})
+		}
+		if len(rules) == 0 {
+			t.Fatalf("baseline added no statements:\n%s", baseline.Script.Source())
+		}
+		cfg.Faults = faults.New(3, rules...)
+		res, err := FromCorpus(base.Corpus, cfg).Standardize(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Health.VerifyDegraded {
+			t.Fatalf("verification did not degrade: %+v", res.Health)
+		}
+		if res.OutputHash != "" {
+			t.Fatalf("degraded verification carried hash %s", res.OutputHash)
+		}
+	})
+
+	t.Run("batch", func(t *testing.T) {
+		// One engine per corpus, its jobs sharing one session cache across
+		// three workers.
+		byStd := map[*Standardizer][]*script.Script{}
+		var order []*Standardizer
+		for _, j := range hashJobs(t, 0) {
+			if byStd[j.st] == nil {
+				order = append(order, j.st)
+			}
+			byStd[j.st] = append(byStd[j.st], j.su, j.su)
+		}
+		for _, st := range order {
+			results, errs := NewEngine(st, 3, 0).StandardizeBatch(context.Background(), byStd[st])
+			for i, res := range results {
+				if errs[i] != nil {
+					t.Fatalf("job %d: %v", i, errs[i])
+				}
+				if want := rehash(t, st, res.Script); res.OutputHash != want {
+					t.Fatalf("batch job %d: carried hash %q, re-executed %s", i, res.OutputHash, want)
+				}
+			}
+		}
+	})
+}

@@ -136,6 +136,12 @@ type Result struct {
 	ImprovementPct float64
 	// IntentValue is the measured user-intent value of the output (Δ_J or Δ_M).
 	IntentValue float64
+	// OutputHash is the SHA-256 hex digest of Script's output table on the
+	// full sources (frame.Digest), taken from the output verification
+	// already executed. It is empty when that output is not the full-data
+	// one: MaxRows sampled a source table, or verification degraded to
+	// sampled tuples. Callers then re-execute Script to hash it.
+	OutputHash string
 	// Input is the lemmatized input script, one atom per line: the start
 	// of the path Applied takes to Script.
 	Input []dag.LineInfo
@@ -307,6 +313,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 	// so the caller receives a usable partial grid alongside the error.
 	pprof.SetGoroutineLabels(o.ctxVerify)
 	cache := newVerifyCache(origRun.Main)
+	fullData := st.fullSources()
 	searchChecks := gs.execChecks
 	results := make([][]*Result, len(seqs))
 	for si, seq := range seqs {
@@ -337,6 +344,9 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 			res.REAfter = best.re
 			res.ImprovementPct = entropy.Improvement(res.REBefore, res.REAfter)
 			res.Applied = best.applied
+			if fullData && !res.Health.VerifyDegraded {
+				res.OutputHash = cache.digest(best, orig)
+			}
 			res.Timings.Total = time.Since(start)
 			results[si][ci] = res
 			if o.enabled() {
@@ -538,11 +548,26 @@ func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess inter
 	return acc
 }
 
+// fullSources reports whether candidates execute against the corpus's full
+// sources, that is whether MaxRows sampled no source table.
+func (st *Standardizer) fullSources() bool {
+	for name, f := range st.execSources() {
+		if st.Corpus.Sources[name] != f {
+			return false
+		}
+	}
+	return true
+}
+
 // verifyCache shares candidate outputs and downstream-model accuracies
 // across the grid cells of one StandardizeGrid call, so threshold sweeps
 // pay for each execution and each model training exactly once.
 type verifyCache struct {
 	origOut *frame.Frame
+	// origSet is origOut's Δ_J value set, built on the first Jaccard check.
+	origSet *frame.ValueSet
+	// digests memoizes frame.Digest per winning output frame.
+	digests map[*frame.Frame]string
 	// out maps candidates to their output frame (nil = failed to execute).
 	out map[*candidate]*frame.Frame
 	// acc memoizes downstream accuracy per candidate and model config key.
@@ -565,9 +590,29 @@ func newVerifyCache(origOut *frame.Frame) *verifyCache {
 	return &verifyCache{
 		origOut: origOut,
 		out:     map[*candidate]*frame.Frame{},
+		digests: map[*frame.Frame]string{},
 		acc:     map[accKey]accVal{},
 		origAcc: map[string]accVal{},
 	}
+}
+
+// digest returns the memoized digest of the winning candidate's output:
+// the input's own output when the input won, else the output verification
+// cached for best ("" when none was cached).
+func (vc *verifyCache) digest(best, orig *candidate) string {
+	out := vc.origOut
+	if best != orig {
+		out = vc.out[best]
+	}
+	if out == nil {
+		return ""
+	}
+	d, ok := vc.digests[out]
+	if !ok {
+		d = out.Digest()
+		vc.digests[out] = d
+	}
+	return d
 }
 
 // modelKey is a collision-free encoding of every ModelConfig field: %q
@@ -577,9 +622,17 @@ func modelKey(m intent.ModelConfig) string {
 }
 
 // satisfied evaluates the constraint against a candidate's cached output,
-// memoizing model accuracies so Δ_M checks across thresholds reduce to
-// arithmetic after the first evaluation.
+// building the input output's Δ_J value set once and memoizing model
+// accuracies so Δ_M checks across thresholds reduce to arithmetic after the
+// first evaluation.
 func (vc *verifyCache) satisfied(constraint intent.Constraint, cand *candidate, out *frame.Frame) (bool, float64, error) {
+	if constraint.Measure == intent.MeasureJaccard {
+		if vc.origSet == nil {
+			vc.origSet = vc.origOut.ValueSet()
+		}
+		j := vc.origSet.Jaccard(out.ValueSet())
+		return j >= constraint.Tau, j, nil
+	}
 	if constraint.Measure != intent.MeasureModel {
 		return constraint.Satisfied(vc.origOut, out)
 	}

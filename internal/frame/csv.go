@@ -1,13 +1,17 @@
 package frame
 
 import (
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ReadCSV parses CSV data with a header row into a frame, inferring column
@@ -129,29 +133,92 @@ func inferColumn(name string, cells []string) *Series {
 	}
 }
 
-// WriteCSV serializes the frame as CSV with a header row. Nulls are written
-// as empty cells. The row record is allocated once and reused — this runs
-// over the full table for every OutputHash, so a per-row slice shows up.
+// csvChunk is the encoder's flush threshold: rows are appended to one
+// buffer that is handed to the writer whenever it grows past this size.
+const csvChunk = 64 << 10
+
+// WriteCSV serializes the frame as CSV with a header row, byte for byte as
+// encoding/csv's Writer (comma, "\n" line ends) would write the StringAt
+// rendering of every cell. Nulls are written as empty cells. Cells are
+// appended to one buffer, flushed in chunks of about 64 KiB; only string
+// cells and header names can need quoting, since numeric and bool
+// renderings never start with a space or hold a comma, quote or newline.
 func (f *Frame) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(f.ColumnNames()); err != nil {
-		return err
+	buf := make([]byte, 0, csvChunk+csvChunk/8) // room for the row that crosses csvChunk
+	for j, c := range f.cols {
+		if j > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendCSVField(buf, c.name)
 	}
-	rec := make([]string, f.NumCols())
+	buf = append(buf, '\n')
 	for i := 0; i < f.NumRows(); i++ {
 		for j, c := range f.cols {
-			if c.IsValid(i) {
-				rec[j] = c.StringAt(i)
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			if c.kind == String && c.valid[i] {
+				buf = appendCSVField(buf, c.ss[i])
 			} else {
-				rec[j] = ""
+				buf = c.appendCell(buf, i)
 			}
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
+		buf = append(buf, '\n')
+		if len(buf) >= csvChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(buf)
+	return err
+}
+
+// appendCSVField appends one field with encoding/csv's quoting rules: a
+// field is quoted when it is `\.`, holds a comma, quote, CR or LF, or
+// starts with a Unicode space; inside quotes a quote is doubled.
+func appendCSVField(buf []byte, field string) []byte {
+	if !csvNeedsQuotes(field) {
+		return append(buf, field...)
+	}
+	buf = append(buf, '"')
+	for {
+		i := strings.IndexByte(field, '"')
+		if i < 0 {
+			break
+		}
+		buf = append(buf, field[:i+1]...)
+		buf = append(buf, '"')
+		field = field[i+1:]
+	}
+	buf = append(buf, field...)
+	return append(buf, '"')
+}
+
+func csvNeedsQuotes(field string) bool {
+	if field == "" {
+		return false
+	}
+	if field == `\.` {
+		return true
+	}
+	for i := 0; i < len(field); i++ {
+		switch field[i] {
+		case '\n', '\r', '"', ',':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(field)
+	return unicode.IsSpace(r)
+}
+
+// Digest returns the SHA-256 hex digest of the frame's CSV serialization
+// (WriteCSV): the output hash lsstd prints and lsserved returns per job.
+func (f *Frame) Digest() string {
+	h := sha256.New()
+	_ = f.WriteCSV(h) // a hash.Hash never returns a write error
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // WriteCSVFile serializes the frame to the named file.

@@ -1,0 +1,222 @@
+package frame
+
+import (
+	"math"
+	"math/bits"
+	"strconv"
+)
+
+// nullValue is the value every null cell contributes to a ValueSet.
+const nullValue = "<null>"
+
+// ValueSet is the set of distinct cell values of a frame, a value being a
+// cell as StringAt renders it and "<null>" for a null cell: the set the
+// Δ_J intent measure compares (the paper's Example 2.1). It is keyed on
+// typed values, so building one renders no cell:
+//
+//   - a float is its bits, every NaN one value;
+//   - an int below 1e6 in magnitude is the bits of the equal float, since
+//     both render as the same digits; a larger int renders unlike any float
+//     (those print with an exponent) and is keyed as itself;
+//   - a bool is a flag;
+//   - a string that is exactly the rendering of a float, int, bool, NaN or
+//     null is keyed as that value; any other string is itself.
+//
+// So two cells are one value exactly when their renderings are equal:
+// Int 3, Float 3 and String "3" are one value, Float -0 ("-0") and 0 are
+// two, Bool true and String "true" are one.
+type ValueSet struct {
+	nums  map[uint64]struct{}
+	ints  map[int64]struct{}
+	strs  map[string]struct{}
+	flags uint8
+}
+
+const (
+	flagNull uint8 = 1 << iota
+	flagNaN
+	flagFalse
+	flagTrue
+)
+
+// intFloatLimit bounds the ints keyed as floats: every float of magnitude
+// 1e6 or more renders with an exponent, every smaller integral float as
+// plain digits.
+const intFloatLimit = 1e6
+
+// ValueSet collects the frame's distinct cell values.
+func (f *Frame) ValueSet() *ValueSet {
+	vs := &ValueSet{nums: map[uint64]struct{}{}, ints: map[int64]struct{}{}, strs: map[string]struct{}{}}
+	for _, c := range f.cols {
+		vs.addSeries(c)
+	}
+	return vs
+}
+
+// addSeries adds every cell of s. A cell equal to the previous valid cell
+// of its column skips the map: runs of one value, such as a dummy column's
+// zeros, are the common case.
+func (vs *ValueSet) addSeries(s *Series) {
+	if s.hasNulls() {
+		vs.flags |= flagNull
+	}
+	first := true
+	switch s.kind {
+	case Float:
+		var prev uint64
+		for i, v := range s.fs {
+			if b := math.Float64bits(v); s.valid[i] && (first || b != prev) {
+				first, prev = false, b
+				vs.addFloat(v)
+			}
+		}
+	case Int:
+		var prev int64
+		for i, v := range s.is {
+			if s.valid[i] && (first || v != prev) {
+				first, prev = false, v
+				vs.addInt(v)
+			}
+		}
+	case Bool:
+		for i, v := range s.bs {
+			if s.valid[i] {
+				vs.addBool(v)
+			}
+		}
+	case String:
+		var prev string
+		for i, v := range s.ss {
+			if s.valid[i] && (first || v != prev) {
+				first, prev = false, v
+				vs.addString(v)
+			}
+		}
+	}
+}
+
+func (vs *ValueSet) addFloat(v float64) {
+	if math.IsNaN(v) {
+		vs.flags |= flagNaN
+		return
+	}
+	vs.nums[math.Float64bits(v)] = struct{}{}
+}
+
+func (vs *ValueSet) addInt(v int64) {
+	if -intFloatLimit < v && v < intFloatLimit {
+		vs.nums[math.Float64bits(float64(v))] = struct{}{}
+		return
+	}
+	vs.ints[v] = struct{}{}
+}
+
+func (vs *ValueSet) addBool(v bool) {
+	if v {
+		vs.flags |= flagTrue
+	} else {
+		vs.flags |= flagFalse
+	}
+}
+
+// addString keys s as the value it is the exact rendering of, if any. A
+// string shaped like a number is parsed, and the parse confirmed by
+// rendering the parsed value back, so "1.0" or "1e6" stay strings.
+func (vs *ValueSet) addString(s string) {
+	switch {
+	case numberShaped(s):
+		var buf [32]byte
+		if v, err := strconv.ParseFloat(s, 64); err == nil && string(strconv.AppendFloat(buf[:0], v, 'g', -1, 64)) == s {
+			vs.addFloat(v)
+			return
+		}
+		if v, err := strconv.ParseInt(s, 10, 64); err == nil && string(strconv.AppendInt(buf[:0], v, 10)) == s {
+			vs.addInt(v)
+			return
+		}
+	case s == "NaN":
+		vs.flags |= flagNaN
+		return
+	case s == "true":
+		vs.flags |= flagTrue
+		return
+	case s == "false":
+		vs.flags |= flagFalse
+		return
+	case s == nullValue:
+		vs.flags |= flagNull
+		return
+	}
+	vs.strs[s] = struct{}{}
+}
+
+// numberShaped reports whether s has the shape of a rendered int or float:
+// "+Inf", "-Inf", or -?D+(.D+)?(e[+-]D+)? with D a decimal digit. Checking
+// the shape first keeps strings such as dates away from the parsers, whose
+// failures allocate.
+func numberShaped(s string) bool {
+	if s == "+Inf" || s == "-Inf" {
+		return true
+	}
+	i := 0
+	if i < len(s) && s[i] == '-' {
+		i++
+	}
+	digits := func() bool {
+		start := i
+		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+			i++
+		}
+		return i > start
+	}
+	if !digits() {
+		return false
+	}
+	if i < len(s) && s[i] == '.' {
+		i++
+		if !digits() {
+			return false
+		}
+	}
+	if i < len(s) && s[i] == 'e' {
+		i++
+		if i == len(s) || (s[i] != '+' && s[i] != '-') {
+			return false
+		}
+		i++
+		if !digits() {
+			return false
+		}
+	}
+	return i == len(s)
+}
+
+// Len returns the number of distinct values.
+func (vs *ValueSet) Len() int {
+	return len(vs.nums) + len(vs.ints) + len(vs.strs) + bits.OnesCount8(vs.flags)
+}
+
+// Jaccard returns |vs ∩ o| / |vs ∪ o|, or 1 when both sets are empty.
+func (vs *ValueSet) Jaccard(o *ValueSet) float64 {
+	inter := intersect(vs.nums, o.nums) + intersect(vs.ints, o.ints) +
+		intersect(vs.strs, o.strs) + bits.OnesCount8(vs.flags&o.flags)
+	union := vs.Len() + o.Len() - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
+}
+
+// intersect counts the keys a and b share, walking the smaller map.
+func intersect[K comparable](a, b map[K]struct{}) int {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	n := 0
+	for k := range a {
+		if _, ok := b[k]; ok {
+			n++
+		}
+	}
+	return n
+}

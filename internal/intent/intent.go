@@ -24,41 +24,12 @@ var ErrNoOutput = errors.New("intent: script produced no output dataset")
 // occur (one-hot 0/1 columns, dummies) barely move the measure, matching
 // the paper's observation that τ_J = 0.9 still admits substantial
 // standardization. Null cells contribute a distinct <null> token. Two empty
-// frames are identical (1.0).
+// frames are identical (1.0). The sets are frame.ValueSets.
 func TableJaccard(a, b *frame.Frame) (float64, error) {
 	if a == nil || b == nil {
 		return 0, ErrNoOutput
 	}
-	sa := valueSet(a)
-	sb := valueSet(b)
-	inter, union := 0, len(sb)
-	for v := range sa {
-		if sb[v] {
-			inter++
-		} else {
-			union++
-		}
-	}
-	if union == 0 {
-		return 1, nil
-	}
-	return float64(inter) / float64(union), nil
-}
-
-// valueSet collects the distinct cell values of a frame as strings.
-func valueSet(f *frame.Frame) map[string]bool {
-	set := make(map[string]bool)
-	for j := 0; j < f.NumCols(); j++ {
-		col := f.ColumnAt(j)
-		for i := 0; i < col.Len(); i++ {
-			if col.IsValid(i) {
-				set[col.StringAt(i)] = true
-			} else {
-				set["<null>"] = true
-			}
-		}
-	}
-	return set
+	return a.ValueSet().Jaccard(b.ValueSet()), nil
 }
 
 // RowJaccard returns |A ∩ B| / |A ∪ B| over the row multisets of the two

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lucidscript/internal/corpusgen"
 	"lucidscript/internal/frame"
 )
 
@@ -274,5 +275,39 @@ func TestJaccardSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkTableJaccard compares a Sales-sized table (the row scale of the
+// Sales workload in cmd/lsperf) with a filtered copy of itself, the shape
+// of one Δ_J verification.
+func BenchmarkTableJaccard(b *testing.B) {
+	comp, err := corpusgen.Get("Sales")
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := comp.Generate(corpusgen.GenOptions{Seed: 1, RowScale: 0.02})
+	if err != nil {
+		b.Fatal(err)
+	}
+	orig := data.Sources[comp.File]
+	price, err := orig.Column("item_price")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := price.Compare(frame.Gt, 0.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cand, err := orig.Filter(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TableJaccard(orig, cand); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

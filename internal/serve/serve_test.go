@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"lucidscript/internal/core"
 	"lucidscript/internal/faults"
 	"lucidscript/internal/gen"
+	"lucidscript/internal/obs"
 )
 
 // genOptions is the fast-search option set every serve test builds its
@@ -519,4 +521,68 @@ func TestNewServerValidation(t *testing.T) {
 func jsonString(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
+}
+
+// TestServeOutputHashReexecCounter checks where a served output hash comes
+// from: a job searched on the full table carries its hash out of
+// verification and output_hash_reexec_total stays 0; on a table larger
+// than MaxRows every job re-runs its script for the hash and is counted.
+// Either way the served hash equals a direct OutputHash.
+func TestServeOutputHashReexecCounter(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		maxRows int
+		reexec  bool
+	}{
+		{"unsampled", 200, false},
+		{"sampled", 80, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			metrics := lucidscript.NewMetrics()
+			opts := genOptions()
+			opts.MaxRows = tc.maxRows
+			sys := genSystem(t, 42, opts)
+			_, client := startServer(t, map[string]*lucidscript.System{"gen": sys}, Config{Workers: 2, Metrics: metrics})
+			ctx := context.Background()
+			jobs := gen.New(7).Scripts(3)
+			for i, su := range jobs {
+				sub, err := client.Submit(ctx, "gen", su.Source(), nil)
+				if err != nil {
+					t.Fatalf("Submit %d: %v", i, err)
+				}
+				st, err := client.Wait(ctx, sub.ID, 5*time.Millisecond)
+				if err != nil {
+					t.Fatalf("Wait %d: %v", i, err)
+				}
+				if st.State != StateDone || st.Result == nil {
+					t.Fatalf("job %d state = %q (error %q)", i, st.State, st.Error)
+				}
+				script, err := lucidscript.ParseScript(st.Result.Script)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := sys.OutputHash(script)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Result.OutputHash != want {
+					t.Errorf("job %d output hash = %q, want %q", i, st.Result.OutputHash, want)
+				}
+			}
+			want := int64(0)
+			if tc.reexec {
+				want = int64(len(jobs))
+			}
+			if got := metrics.Value(obs.MOutputHashReexec); got != want {
+				t.Errorf("output_hash_reexec_total = %d, want %d", got, want)
+			}
+			text, err := client.Metrics(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line := fmt.Sprintf("lucidscript_output_hash_reexec_total %d\n", want); !strings.Contains(text, line) {
+				t.Errorf("metrics exposition lacks %q:\n%s", line, text)
+			}
+		})
+	}
 }

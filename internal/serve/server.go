@@ -86,7 +86,7 @@ func (c Config) withDefaults() Config {
 
 // corpusState is one corpus generation of a dataset: the System curated
 // (or registry-loaded) at that version, its job queue, and the hash
-// semaphore bounding concurrent output-hash executions to the queue's
+// semaphore bounding concurrent output-hash re-executions to the queue's
 // worker count. A hot-swap builds a whole new corpusState and swings the
 // dataset's active pointer; jobs hold the corpusState they were admitted
 // against, so they execute and hash on the corpus version they started
@@ -169,6 +169,8 @@ func NewServer(systems map[string]*lucidscript.System, cfg Config) (*Server, err
 		return nil, errors.New("serve: no datasets configured")
 	}
 	cfg = cfg.withDefaults()
+	// Registered up front so /metrics exports the fallback count at 0.
+	cfg.Metrics.Counter(obs.MOutputHashReexec)
 	s := &Server{
 		cfg:      cfg,
 		datasets: make(map[string]*dataset, len(systems)),
@@ -537,11 +539,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // finalizeJob is each job's completion path, run on a per-job goroutine:
 // it waits for the job to land, releases the per-job timeout context,
-// computes the output hash off the HTTP handlers (bounded by the
-// dataset's hashSem so completions cannot out-run the queue's admission
-// control), persists the terminal record, publishes it by closing
-// rec.finalized, and schedules the record's eviction after the retention
-// window.
+// takes the output hash the search carried on the result — or, when the
+// search ran on sampled sources or degraded, re-executes the script for it
+// off the HTTP handlers (bounded by the dataset's hashSem so completions
+// cannot out-run the queue's admission control) — persists the terminal
+// record, publishes it by closing rec.finalized, and schedules the
+// record's eviction after the retention window.
 func (s *Server) finalizeJob(rec *jobRecord, cancel context.CancelFunc) {
 	<-rec.job.Done()
 	cancel()
@@ -549,12 +552,17 @@ func (s *Server) finalizeJob(rec *jobRecord, cancel context.CancelFunc) {
 	var hash string
 	var hashErr error
 	if err == nil && res != nil {
-		// The hash runs on the generation the job was admitted against —
-		// pinned in rec.corpus — so a hot-swap mid-job cannot make the
-		// result's hash come from a different corpus than its search did.
-		rec.corpus.hashSem <- struct{}{}
-		hash, hashErr = rec.corpus.sys.OutputHash(res.Script)
-		<-rec.corpus.hashSem
+		hash = res.OutputHash
+		if hash == "" {
+			// The re-execution runs on the generation the job was admitted
+			// against — pinned in rec.corpus — so a hot-swap mid-job cannot
+			// make the result's hash come from a different corpus than its
+			// search did.
+			s.metric(obs.MOutputHashReexec, 1)
+			rec.corpus.hashSem <- struct{}{}
+			hash, hashErr = rec.corpus.sys.OutputHash(res.Script)
+			<-rec.corpus.hashSem
+		}
 	}
 	now := time.Now().UTC()
 	st := &JobStatus{
