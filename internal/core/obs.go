@@ -80,6 +80,7 @@ type gridStats struct {
 	canceled       bool   // the search stopped on a context cancellation
 	health         Health // quarantines and curation skips, call-wide
 	verifyDegraded int    // grid cells that fell back to sampled-tuple mode
+	jaccard        jaccardStats
 }
 
 // finalize folds one completed (or canceled) standardization into the
@@ -103,6 +104,9 @@ func (o *obsState) finalize(res *Result, cacheStats interp.CacheStats, gs gridSt
 	m.Counter(obs.MBudgetExhaustions).Add(int64(gs.health.Check.Exhausted + gs.health.Verify.Exhausted))
 	m.Counter(obs.MVerifyDegraded).Add(int64(gs.verifyDegraded))
 	m.Counter(obs.MCurateSkipped).Add(int64(gs.health.CurateSkipped))
+	m.Counter(obs.MJaccardMemoHits).Add(int64(gs.jaccard.memoHits))
+	m.Counter(obs.MJaccardBoundRejects).Add(int64(gs.jaccard.boundRejects))
+	m.Counter(obs.MValueSetsBuilt).Add(int64(gs.jaccard.setsBuilt))
 	m.Counter(obs.MStatementsExecuted).Add(cacheStats.StmtsExecuted)
 	m.Counter(obs.MStatementsSkipped).Add(cacheStats.StmtsSkipped)
 	m.Counter(obs.MCacheHits).Add(cacheStats.Hits)

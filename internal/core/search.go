@@ -362,6 +362,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 		}
 	}
 	gs.canceled = searchErr != nil
+	gs.jaccard = cache.jaccard
 
 	var cacheStats interp.CacheStats
 	if sess != nil {
@@ -564,10 +565,11 @@ func (st *Standardizer) fullSources() bool {
 // pay for each execution and each model training exactly once.
 type verifyCache struct {
 	origOut *frame.Frame
-	// origSet is origOut's Δ_J value set, built on the first Jaccard check.
+	// origSet is origOut's Δ_J value set, built on the first Jaccard check
+	// the frame memos cannot settle.
 	origSet *frame.ValueSet
-	// digests memoizes frame.Digest per winning output frame.
-	digests map[*frame.Frame]string
+	// jaccard counts how the call's Δ_J checks were settled.
+	jaccard jaccardStats
 	// out maps candidates to their output frame (nil = failed to execute).
 	out map[*candidate]*frame.Frame
 	// acc memoizes downstream accuracy per candidate and model config key.
@@ -590,15 +592,14 @@ func newVerifyCache(origOut *frame.Frame) *verifyCache {
 	return &verifyCache{
 		origOut: origOut,
 		out:     map[*candidate]*frame.Frame{},
-		digests: map[*frame.Frame]string{},
 		acc:     map[accKey]accVal{},
 		origAcc: map[string]accVal{},
 	}
 }
 
-// digest returns the memoized digest of the winning candidate's output:
-// the input's own output when the input won, else the output verification
-// cached for best ("" when none was cached).
+// digest returns the digest of the winning candidate's output: the input's
+// own output when the input won, else the output verification cached for
+// best ("" when none was cached). The frame memoizes it.
 func (vc *verifyCache) digest(best, orig *candidate) string {
 	out := vc.origOut
 	if best != orig {
@@ -607,12 +608,7 @@ func (vc *verifyCache) digest(best, orig *candidate) string {
 	if out == nil {
 		return ""
 	}
-	d, ok := vc.digests[out]
-	if !ok {
-		d = out.Digest()
-		vc.digests[out] = d
-	}
-	return d
+	return out.Digest()
 }
 
 // modelKey is a collision-free encoding of every ModelConfig field: %q
@@ -621,17 +617,20 @@ func modelKey(m intent.ModelConfig) string {
 	return fmt.Sprintf("%q/%q/%d", m.Target, m.Protected, m.Epochs)
 }
 
+// jaccardStats counts how Δ_J checks were settled: read back from a frame
+// memo, rejected by the size bound, and the value sets built for the rest.
+type jaccardStats struct {
+	memoHits, boundRejects, setsBuilt int
+}
+
 // satisfied evaluates the constraint against a candidate's cached output,
-// building the input output's Δ_J value set once and memoizing model
+// settling Δ_J from the frame memos where it can and memoizing model
 // accuracies so Δ_M checks across thresholds reduce to arithmetic after the
 // first evaluation.
 func (vc *verifyCache) satisfied(constraint intent.Constraint, cand *candidate, out *frame.Frame) (bool, float64, error) {
 	if constraint.Measure == intent.MeasureJaccard {
-		if vc.origSet == nil {
-			vc.origSet = vc.origOut.ValueSet()
-		}
-		j := vc.origSet.Jaccard(out.ValueSet())
-		return j >= constraint.Tau, j, nil
+		ok, j := vc.jaccardAtLeast(constraint.Tau, out)
+		return ok, j, nil
 	}
 	if constraint.Measure != intent.MeasureModel {
 		return constraint.Satisfied(vc.origOut, out)
@@ -666,6 +665,51 @@ func (vc *verifyCache) satisfied(constraint intent.Constraint, cand *candidate, 
 		delta = math.Abs(ov.acc-cv.acc) / ov.acc * 100
 	}
 	return delta <= constraint.Tau, delta, nil
+}
+
+// jaccardAtLeast reports whether Δ_J(origOut, out) ≥ tau, and the index
+// or, on a rejection by size, its upper bound. The exact index is memoized
+// on out, keyed by origOut's identity, so a later check of the pair (another
+// grid cell or τ, another job sharing the session cache) reads it back.
+// Before building a value set the check rejects by size, which is exact:
+// J ≤ min(|A|,|B|)/max(|A|,|B|), and each frame memoizes its set's size.
+// origSet is built at most once per call.
+func (vc *verifyCache) jaccardAtLeast(tau float64, out *frame.Frame) (bool, float64) {
+	if j, ok := out.MemoJaccard(vc.origOut); ok {
+		vc.jaccard.memoHits++
+		return j >= tau, j
+	}
+	na, okA := vc.origOut.DistinctCount()
+	nb, okB := out.DistinctCount()
+	if b := sizeBound(na, nb); okA && okB && b < tau {
+		vc.jaccard.boundRejects++
+		return false, b
+	}
+	if vc.origSet == nil {
+		vc.origSet = vc.origOut.ValueSet()
+		vc.jaccard.setsBuilt++
+	}
+	set := out.ValueSet()
+	vc.jaccard.setsBuilt++
+	if b := sizeBound(vc.origSet.Len(), set.Len()); b < tau {
+		vc.jaccard.boundRejects++
+		return false, b
+	}
+	j := vc.origSet.Jaccard(set)
+	out.StoreJaccard(vc.origOut, j)
+	return j >= tau, j
+}
+
+// sizeBound is the largest Jaccard index two sets of sizes a and b can
+// have: min(a,b)/max(a,b), and 1 for two empty sets.
+func sizeBound(a, b int) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b == 0 {
+		return 1
+	}
+	return float64(a) / float64(b)
 }
 
 // verifyWith implements VerifyAllConstraints: candidates are sorted by RE

@@ -215,10 +215,22 @@ func csvNeedsQuotes(field string) bool {
 
 // Digest returns the SHA-256 hex digest of the frame's CSV serialization
 // (WriteCSV): the output hash lsstd prints and lsserved returns per job.
+// It is computed once per frame and memoized.
 func (f *Frame) Digest() string {
+	m := f.memo()
+	m.mu.Lock()
+	d := m.digest
+	m.mu.Unlock()
+	if d != "" {
+		return d
+	}
 	h := sha256.New()
 	_ = f.WriteCSV(h) // a hash.Hash never returns a write error
-	return hex.EncodeToString(h.Sum(nil))
+	d = hex.EncodeToString(h.Sum(nil))
+	m.mu.Lock()
+	m.digest = d
+	m.mu.Unlock()
+	return d
 }
 
 // WriteCSVFile serializes the frame to the named file.

@@ -35,3 +35,8 @@ func FloatBitsSeries(name string, cells ...uint64) *Series {
 	}
 	return s
 }
+
+// ID returns the frame's identity: equal for two calls on one frame with
+// no structural edit between them, and never equal to any other frame's
+// identity, past or present.
+func (f *Frame) ID() uint64 { return f.memo().id }

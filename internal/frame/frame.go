@@ -6,12 +6,16 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Frame is an ordered collection of equal-length named series.
 type Frame struct {
 	cols  []*Series
 	index map[string]int
+	// m memoizes what is derived from the cells (see memo); nil until
+	// first use.
+	m atomic.Pointer[memo]
 }
 
 // New returns an empty frame.
@@ -78,6 +82,7 @@ func (f *Frame) AddColumn(s *Series) error {
 	}
 	f.index[s.name] = len(f.cols)
 	f.cols = append(f.cols, s)
+	f.dropMemo()
 	return nil
 }
 
@@ -88,6 +93,7 @@ func (f *Frame) SetColumn(s *Series) error {
 			return fmt.Errorf("frame: column %q has %d rows, frame has %d", s.name, s.Len(), f.NumRows())
 		}
 		f.cols[i] = s
+		f.dropMemo()
 		return nil
 	}
 	return f.AddColumn(s)

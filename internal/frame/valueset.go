@@ -44,12 +44,17 @@ const (
 // plain digits.
 const intFloatLimit = 1e6
 
-// ValueSet collects the frame's distinct cell values.
+// ValueSet collects the frame's distinct cell values. The set itself is
+// not kept, its size is: DistinctCount reports it from then on.
 func (f *Frame) ValueSet() *ValueSet {
 	vs := &ValueSet{nums: map[uint64]struct{}{}, ints: map[int64]struct{}{}, strs: map[string]struct{}{}}
 	for _, c := range f.cols {
 		vs.addSeries(c)
 	}
+	m := f.memo()
+	m.mu.Lock()
+	m.distinct = vs.Len()
+	m.mu.Unlock()
 	return vs
 }
 

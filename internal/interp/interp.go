@@ -31,33 +31,36 @@ type Env struct {
 // replaySource is a rand.Source whose exact state can be reconstructed: it
 // records the seed and how many values have been drawn, so a fork replays a
 // fresh source to the same position. The Int63 stream is identical to using
-// rand.NewSource(seed) directly, keeping historical run outputs stable.
+// rand.NewSource(seed) directly, keeping historical run outputs stable. The
+// underlying source is built and replayed on the first draw, so a run that
+// never draws pays nothing for it.
 type replaySource struct {
 	seed int64
 	n    int64
-	src  rand.Source
+	src  rand.Source // nil until the first draw
 }
 
 func newReplaySource(seed int64) *replaySource {
-	return &replaySource{seed: seed, src: rand.NewSource(seed)}
+	return &replaySource{seed: seed}
 }
 
 func (r *replaySource) Int63() int64 {
+	if r.src == nil {
+		r.src = rand.NewSource(r.seed)
+		for i := int64(0); i < r.n; i++ {
+			r.src.Int63()
+		}
+	}
 	r.n++
 	return r.src.Int63()
 }
 
 func (r *replaySource) Seed(seed int64) {
-	r.seed, r.n = seed, 0
-	r.src.Seed(seed)
+	r.seed, r.n, r.src = seed, 0, nil
 }
 
 func (r *replaySource) fork() *replaySource {
-	src := rand.NewSource(r.seed)
-	for i := int64(0); i < r.n; i++ {
-		src.Int63()
-	}
-	return &replaySource{seed: r.seed, n: r.n, src: src}
+	return &replaySource{seed: r.seed, n: r.n}
 }
 
 // newEnv builds a fresh environment over already-sampled sources.

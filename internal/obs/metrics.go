@@ -31,6 +31,11 @@ const (
 	MBudgetExhaustions     = "budget_exhaustions_total"
 	MVerifyDegraded        = "verifications_degraded_total"
 	MCurateSkipped         = "curate_scripts_skipped_total"
+	// Δ_J verification: checks settled from a frame's Jaccard memo or by
+	// the set-size bound, and the value sets built for the rest.
+	MJaccardMemoHits     = "jaccard_memo_hits_total"
+	MJaccardBoundRejects = "jaccard_bound_rejects_total"
+	MValueSetsBuilt      = "value_sets_built_total"
 	// Service metrics: job-queue admission and HTTP traffic. MQueueDepth
 	// is a gauge (enqueue +1 / dequeue -1); the rest are counters.
 	MQueueDepth         = "queue_depth"

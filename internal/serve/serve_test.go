@@ -586,3 +586,60 @@ func TestServeOutputHashReexecCounter(t *testing.T) {
 		})
 	}
 }
+
+// TestServeVerifyMemoCounters checks that /metrics exports the Δ_J
+// verification counters at 0 before any job, and that a second job of the
+// same script on the same dataset settles every Δ_J check from the frame
+// memos the first left on the shared cached frames: it builds no value set.
+func TestServeVerifyMemoCounters(t *testing.T) {
+	metrics := lucidscript.NewMetrics()
+	opts := genOptions()
+	opts.Metrics = metrics
+	sys := genSystem(t, 42, opts)
+	_, client := startServer(t, map[string]*lucidscript.System{"gen": sys}, Config{Workers: 2, Metrics: metrics})
+	ctx := context.Background()
+	names := []string{obs.MJaccardMemoHits, obs.MJaccardBoundRejects, obs.MValueSetsBuilt}
+	text, err := client.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if line := "lucidscript_" + name + " 0\n"; !strings.Contains(text, line) {
+			t.Errorf("metrics exposition lacks %q:\n%s", line, text)
+		}
+	}
+	src := gen.New(7).Scripts(1)[0].Source()
+	run := func() map[string]int64 {
+		t.Helper()
+		before := map[string]int64{}
+		for _, name := range names {
+			before[name] = metrics.Value(name)
+		}
+		sub, err := client.Submit(ctx, "gen", src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := client.Wait(ctx, sub.ID, 5*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone {
+			t.Fatalf("job state = %q (error %q)", st.State, st.Error)
+		}
+		delta := map[string]int64{}
+		for _, name := range names {
+			delta[name] = metrics.Value(name) - before[name]
+		}
+		return delta
+	}
+	if first := run(); first[obs.MValueSetsBuilt] == 0 {
+		t.Fatalf("the first job built no value set (%v): it checked no Δ_J", first)
+	}
+	second := run()
+	if second[obs.MValueSetsBuilt] != 0 {
+		t.Errorf("the second job built %d value sets, want 0", second[obs.MValueSetsBuilt])
+	}
+	if second[obs.MJaccardMemoHits] == 0 {
+		t.Errorf("the second job read no Jaccard memo (%v)", second)
+	}
+}

@@ -169,8 +169,10 @@ func NewServer(systems map[string]*lucidscript.System, cfg Config) (*Server, err
 		return nil, errors.New("serve: no datasets configured")
 	}
 	cfg = cfg.withDefaults()
-	// Registered up front so /metrics exports the fallback count at 0.
-	cfg.Metrics.Counter(obs.MOutputHashReexec)
+	// Registered up front so /metrics exports these counts at 0.
+	for _, name := range []string{obs.MOutputHashReexec, obs.MJaccardMemoHits, obs.MJaccardBoundRejects, obs.MValueSetsBuilt} {
+		cfg.Metrics.Counter(name)
+	}
 	s := &Server{
 		cfg:      cfg,
 		datasets: make(map[string]*dataset, len(systems)),

@@ -454,6 +454,12 @@ const (
 	MetricBudgetExhaustions     = obs.MBudgetExhaustions
 	MetricVerifyDegraded        = obs.MVerifyDegraded
 	MetricCurateSkipped         = obs.MCurateSkipped
+
+	// Δ_J verification counters: checks read back from a frame's Jaccard
+	// memo, checks rejected by the set-size bound, and value sets built.
+	MetricJaccardMemoHits     = obs.MJaccardMemoHits
+	MetricJaccardBoundRejects = obs.MJaccardBoundRejects
+	MetricValueSetsBuilt      = obs.MValueSetsBuilt
 )
 
 // Timings is the per-phase wall-clock breakdown of one standardization
