@@ -51,7 +51,7 @@ func (st *Standardizer) DetectAnomalies(su *script.Script, maxFrequency float64)
 		if freq >= maxFrequency {
 			continue
 		}
-		without := append(append([]dag.LineInfo(nil), g.Lines[:i]...), g.Lines[i+1:]...)
+		without := applyLines(g.Lines, Transformation{Type: TransformDelete, Pos: i})
 		out = append(out, Anomaly{
 			Line:            i + 1,
 			Source:          li.Key,

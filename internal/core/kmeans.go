@@ -52,16 +52,9 @@ func clusterSteps(c *candidate, steps []Transformation, m int, v *entropy.Vocab)
 // edgeVector embeds the post-transformation script as a normalized edge
 // count vector over the corpus edge vocabulary.
 func edgeVector(c *candidate, tr Transformation, dim map[string]int) []float64 {
-	lines := c.lines
-	switch tr.Type {
-	case TransformAdd:
-		lines = append(append(append(lines[:0:0], lines[:tr.Pos]...), tr.Atom), lines[tr.Pos:]...)
-	case TransformDelete:
-		lines = append(append(lines[:0:0], lines[:tr.Pos]...), lines[tr.Pos+1:]...)
-	}
 	vec := make([]float64, len(dim))
 	total := 0.0
-	for _, k := range dag.EdgeKeysOf(lines) {
+	for _, k := range dag.EdgeKeysOf(applyLines(c.lines, tr)) {
 		if i, ok := dim[k]; ok {
 			vec[i]++
 			total++

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime/pprof"
 	"sort"
 	"time"
@@ -655,15 +654,7 @@ func (vc *verifyCache) satisfied(constraint intent.Constraint, cand *candidate, 
 	if cv.err != nil {
 		return false, 0, cv.err
 	}
-	var delta float64
-	switch {
-	case ov.acc == 0 && cv.acc == 0:
-		delta = 0
-	case ov.acc == 0:
-		delta = 100
-	default:
-		delta = math.Abs(ov.acc-cv.acc) / ov.acc * 100
-	}
+	delta := intent.AccuracyChange(ov.acc, cv.acc)
 	return delta <= constraint.Tau, delta, nil
 }
 

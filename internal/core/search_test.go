@@ -375,7 +375,7 @@ func TestGetStepsRankedByRE(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	g := dag.Build(script.MustParse(userScript))
 	c := &candidate{lines: g.Lines, re: st.Corpus.Vocab.RELines(g.Lines)}
-	steps := getSteps(c, st.Corpus.Vocab)
+	steps := getStepsOpt(c, st.Corpus.Vocab, true)
 	if len(steps) == 0 {
 		t.Fatal("no steps enumerated")
 	}

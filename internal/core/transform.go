@@ -35,8 +35,10 @@ type Transformation struct {
 	// Pos is the insertion index (add inserts before the line currently at
 	// Pos) or the index of the removed line (delete).
 	Pos int
-	// RE is the relative entropy of the script after applying the
-	// transformation, filled in by GetSteps.
+	// RE is the score GetSteps ranks the transformation by, exposed as
+	// Result.Applied[i].RE: the relative entropy of the script after
+	// applying it, except that a delete of a corpus-unseen atom scores the
+	// best RE its chained-delete lookahead reaches (see deleteLookahead).
 	RE float64
 }
 
@@ -170,11 +172,8 @@ func earliestInsertPos(lines []dag.LineInfo, atom dag.LineInfo) int {
 // candidate (Section 5.2): deletes of existing atoms at positions past the
 // low-water mark, and adds of corpus atoms at dependency-valid positions
 // near their corpus mean relative position. The result is sorted by the RE
-// of the resulting script, most standard first.
-func getSteps(c *candidate, v *entropy.Vocab) []Transformation {
-	return getStepsOpt(c, v, true)
-}
-
+// of the resulting script, most standard first; lookahead enables the
+// chained-delete ranking of corpus-unseen atoms.
 func getStepsOpt(c *candidate, v *entropy.Vocab, lookahead bool) []Transformation {
 	var steps []Transformation
 	// Deletes. A single delete inside a connected block of corpus-unseen
@@ -188,7 +187,7 @@ func getStepsOpt(c *candidate, v *entropy.Vocab, lookahead bool) []Transformatio
 			continue
 		}
 		tr := Transformation{Type: TransformDelete, Atom: c.lines[i], Pos: i}
-		tr.RE = reAfter(c, tr, v)
+		tr.RE = v.RELines(applyLines(c.lines, tr))
 		if lookahead && v.LineCounts[c.lines[i].Key] == 0 {
 			if la := deleteLookahead(c.lines, i, v, 3); la < tr.RE {
 				tr.RE = la
@@ -255,7 +254,7 @@ func getStepsOpt(c *candidate, v *entropy.Vocab, lookahead bool) []Transformatio
 			}
 			seen[p] = true
 			tr := Transformation{Type: TransformAdd, Atom: atom, Pos: p}
-			tr.RE = reAfter(c, tr, v)
+			tr.RE = v.RELines(applyLines(c.lines, tr))
 			steps = append(steps, tr)
 		}
 	}
@@ -268,7 +267,7 @@ func getStepsOpt(c *candidate, v *entropy.Vocab, lookahead bool) []Transformatio
 // ≥ pos (respecting monotonicity). It is a ranking signal only; the beam
 // still applies one delete at a time.
 func deleteLookahead(lines []dag.LineInfo, pos int, v *entropy.Vocab, depth int) float64 {
-	cur := append(append([]dag.LineInfo(nil), lines[:pos]...), lines[pos+1:]...)
+	cur := applyLines(lines, Transformation{Type: TransformDelete, Pos: pos})
 	best := v.RELines(cur)
 	low := pos - 1
 	if low < 0 {
@@ -276,19 +275,20 @@ func deleteLookahead(lines []dag.LineInfo, pos int, v *entropy.Vocab, depth int)
 	}
 	for d := 1; d < depth; d++ {
 		bestI, bestRE := -1, best
+		var bestLines []dag.LineInfo
 		for i := low; i < len(cur); i++ {
 			if protectedLine(cur[i]) || v.LineCounts[cur[i].Key] > 0 {
 				continue
 			}
-			nl := append(append([]dag.LineInfo(nil), cur[:i]...), cur[i+1:]...)
+			nl := applyLines(cur, Transformation{Type: TransformDelete, Pos: i})
 			if re := v.RELines(nl); re < bestRE {
-				bestRE, bestI = re, i
+				bestRE, bestI, bestLines = re, i, nl
 			}
 		}
 		if bestI < 0 {
 			break
 		}
-		cur = append(append([]dag.LineInfo(nil), cur[:bestI]...), cur[bestI+1:]...)
+		cur = bestLines
 		low = bestI - 1
 		if low < 0 {
 			low = 0
@@ -296,24 +296,6 @@ func deleteLookahead(lines []dag.LineInfo, pos int, v *entropy.Vocab, depth int)
 		best = bestRE
 	}
 	return best
-}
-
-// reAfter scores a transformation by the RE of the resulting line sequence
-// without materializing a candidate.
-func reAfter(c *candidate, tr Transformation, v *entropy.Vocab) float64 {
-	var lines []dag.LineInfo
-	switch tr.Type {
-	case TransformAdd:
-		lines = make([]dag.LineInfo, 0, len(c.lines)+1)
-		lines = append(lines, c.lines[:tr.Pos]...)
-		lines = append(lines, tr.Atom)
-		lines = append(lines, c.lines[tr.Pos:]...)
-	case TransformDelete:
-		lines = make([]dag.LineInfo, 0, len(c.lines)-1)
-		lines = append(lines, c.lines[:tr.Pos]...)
-		lines = append(lines, c.lines[tr.Pos+1:]...)
-	}
-	return v.RELines(lines)
 }
 
 // sortSteps orders transformations by ascending RE with deterministic

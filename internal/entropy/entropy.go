@@ -190,27 +190,28 @@ func (v *Vocab) REFromEdges(edgeKeys []string) float64 {
 	for _, k := range edgeKeys {
 		p[k]++
 	}
-	// Union sample space: corpus edges plus script edges.
-	space := make(map[string]bool, len(v.EdgeCounts)+len(p))
-	for k := range v.EdgeCounts {
-		space[k] = true
-	}
+	// Union sample space: corpus edges plus script edges. Only its size
+	// enters the smoothing, so it is counted, never built.
+	spaceN := len(v.EdgeCounts)
 	for k := range p {
-		space[k] = true
+		if _, ok := v.EdgeCounts[k]; !ok {
+			spaceN++
+		}
 	}
-	qTotal := float64(v.TotalEdges) + Epsilon*float64(len(space))
+	qTotal := float64(v.TotalEdges) + Epsilon*float64(spaceN)
 	pTotal := float64(len(edgeKeys))
 	// Sum in sorted key order so the floating-point result is identical
 	// across runs (map iteration order would otherwise perturb ties in the
 	// beam search).
 	if pTotal == 0 {
-		// Treat as a uniform P over the space: maximally uninformative.
-		n := float64(len(space))
+		// Treat as a uniform P over the space, which is then the corpus
+		// edges alone: maximally uninformative.
+		n := float64(spaceN)
 		if n == 0 {
 			return 0
 		}
-		keys := make([]string, 0, len(space))
-		for k := range space {
+		keys := make([]string, 0, spaceN)
+		for k := range v.EdgeCounts {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)

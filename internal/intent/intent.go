@@ -188,13 +188,20 @@ func ModelDelta(origOut, newOut *frame.Frame, cfg ModelConfig) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	if accOrig == 0 {
-		if accNew == 0 {
-			return 0, nil
+	return AccuracyChange(accOrig, accNew), nil
+}
+
+// AccuracyChange is Δ_M's formula: the absolute change from accuracy orig
+// to accuracy new, in percent of orig (100 when only orig is zero, 0 when
+// both are).
+func AccuracyChange(orig, new float64) float64 {
+	if orig == 0 {
+		if new == 0 {
+			return 0
 		}
-		return 100, nil
+		return 100
 	}
-	return math.Abs(accOrig-accNew) / accOrig * 100, nil
+	return math.Abs(orig-new) / orig * 100
 }
 
 // Measure identifies the user-intent measure in use.

@@ -183,6 +183,20 @@ func TestModelDeltaDetectsDegradation(t *testing.T) {
 	}
 }
 
+func TestAccuracyChange(t *testing.T) {
+	for _, c := range []struct{ orig, new, want float64 }{
+		{0, 0, 0},
+		{0, 0.4, 100},
+		{0.8, 0.6, 25},
+		{0.5, 0.75, 50},
+		{0.9, 0.9, 0},
+	} {
+		if got := AccuracyChange(c.orig, c.new); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("AccuracyChange(%v, %v) = %v, want %v", c.orig, c.new, got, c.want)
+		}
+	}
+}
+
 func TestBinarizeStringTarget(t *testing.T) {
 	f := mustCSV(t, "feat,label\n1,yes\n2,yes\n3,no\n4,no\n5,yes\n6,no\n7,yes\n8,no\n9,yes\n10,no\n")
 	acc, err := ModelAccuracy(f, ModelConfig{Target: "label"})

@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"lucidscript/internal/frame"
 	"lucidscript/internal/script"
@@ -280,7 +281,7 @@ func binEqualFreq(s *frame.Series, bins int) *frame.Series {
 	if len(ps) == 0 {
 		return out
 	}
-	sortPairs(ps)
+	sort.SliceStable(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
 	per := (len(ps) + bins - 1) / bins
 	for rank, p := range ps {
 		b := rank / per
@@ -295,14 +296,6 @@ func binEqualFreq(s *frame.Series, bins int) *frame.Series {
 type rankPair struct {
 	pos int
 	v   float64
-}
-
-func sortPairs(ps []rankPair) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].v < ps[j-1].v; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
 }
 
 func (e *Env) callNumpy(name string, c *call) (Value, error) {
@@ -496,7 +489,7 @@ func (e *Env) callDF(df *DF, name string, c *call) (Value, error) {
 		}
 		perm := e.rng.Perm(rows)
 		pos := append([]int(nil), perm[:k]...)
-		sortInts(pos)
+		sort.Ints(pos)
 		return df.take(pos)
 	case "head":
 		n := 5.0
@@ -618,51 +611,38 @@ func (e *Env) callDF(df *DF, name string, c *call) (Value, error) {
 	}
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
+// sortPositions returns the row order of sort_values: a stable sort by the
+// column, with nulls and NaN last in either direction (pandas'
+// na_position='last'), which keeps the order a strict weak one.
 func sortPositions(s *frame.Series, asc bool) []int {
 	pos := make([]int, s.Len())
 	for i := range pos {
 		pos[i] = i
 	}
 	numeric := s.IsNumeric() || s.Kind() == frame.Bool
-	less := func(a, b int) bool {
-		av, bv := s.IsValid(a), s.IsValid(b)
-		if av != bv {
-			return av
+	present := func(i int) bool {
+		return s.IsValid(i) && !(numeric && math.IsNaN(s.Float(i)))
+	}
+	sort.SliceStable(pos, func(i, j int) bool {
+		a, b := pos[i], pos[j]
+		ap, bp := present(a), present(b)
+		if ap != bp {
+			return ap
 		}
-		if !av {
+		if !ap {
 			return false
 		}
-		var l bool
 		if numeric {
-			l = s.Float(a) < s.Float(b)
-		} else {
-			l = s.StringAt(a) < s.StringAt(b)
+			if asc {
+				return s.Float(a) < s.Float(b)
+			}
+			return s.Float(a) > s.Float(b)
 		}
 		if asc {
-			return l
+			return s.StringAt(a) < s.StringAt(b)
 		}
-		var g bool
-		if numeric {
-			g = s.Float(a) > s.Float(b)
-		} else {
-			g = s.StringAt(a) > s.StringAt(b)
-		}
-		return g
-	}
-	// Stable insertion sort (corpus frames are small at check time).
-	for i := 1; i < len(pos); i++ {
-		for j := i; j > 0 && less(pos[j], pos[j-1]); j-- {
-			pos[j], pos[j-1] = pos[j-1], pos[j]
-		}
-	}
+		return s.StringAt(a) > s.StringAt(b)
+	})
 	return pos
 }
 
