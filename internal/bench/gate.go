@@ -69,6 +69,9 @@ type GateFinding struct {
 	Ratio      float64 `json:"ratio"`
 	Level      string  `json:"level"`
 	Note       string  `json:"note,omitempty"`
+	// Floor marks a floor check: BaselineMS holds the floor and CurrentMS
+	// the detail's value, both plain numbers rather than milliseconds.
+	Floor bool `json:"floor,omitempty"`
 }
 
 // Gate compares a fresh report against the committed baselines, joined
@@ -95,7 +98,7 @@ func Gate(report, baseline []Record, cfg GateConfig) []GateFinding {
 		for _, name := range sortedKeys(cur.Floors) {
 			if v, floor := cur.Details[name], cur.Floors[name]; v < floor {
 				f := finding(name)
-				f.BaselineMS, f.CurrentMS, f.Level = floor, v, GateFail
+				f.BaselineMS, f.CurrentMS, f.Level, f.Floor = floor, v, GateFail, true
 				f.Note = fmt.Sprintf("%.1f is below its floor %g", v, floor)
 				findings = append(findings, f)
 			}
@@ -155,10 +158,14 @@ func GateTable(findings []GateFinding) *Table {
 		if f.Note != "" {
 			level += " (" + f.Note + ")"
 		}
+		format := "%.0fms"
+		if f.Floor {
+			format = "%g"
+		}
 		t.Rows = append(t.Rows, []string{
 			f.Experiment, f.Key, f.Metric,
-			fmt.Sprintf("%.0fms", f.BaselineMS),
-			fmt.Sprintf("%.0fms", f.CurrentMS),
+			fmt.Sprintf(format, f.BaselineMS),
+			fmt.Sprintf(format, f.CurrentMS),
 			ratio, level,
 		})
 	}

@@ -161,6 +161,29 @@ func TestGateNewMetricIsData(t *testing.T) {
 	}
 }
 
+// TestGateTableFloorRows checks that a floor row prints the floor and the
+// value as plain numbers, while a metric row keeps its milliseconds.
+func TestGateTableFloorRows(t *testing.T) {
+	cur := Record{
+		Experiment: "curate", Key: "gen-10k",
+		Metrics:   map[string]float64{"apply_ms": 68},
+		Floors:    map[string]float64{"apply_speedup": 10},
+		Details:   map[string]float64{"apply_speedup": 3.7},
+		Identical: true,
+	}
+	base := []Record{rec("curate", "gen-10k", map[string]float64{"apply_ms": 76})}
+	rows := map[string][]string{}
+	for _, row := range GateTable(Gate([]Record{cur}, base, GateConfig{})).Rows {
+		rows[row[2]] = row
+	}
+	if got := rows["apply_speedup"]; got == nil || got[3] != "10" || got[4] != "3.7" {
+		t.Fatalf("floor row = %q, want baseline 10 and current 3.7", got)
+	}
+	if got := rows["apply_ms"]; got == nil || got[3] != "76ms" || got[4] != "68ms" {
+		t.Fatalf("metric row = %q, want 76ms and 68ms", got)
+	}
+}
+
 func TestBaselineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	report, baseline := gateFixture()

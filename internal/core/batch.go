@@ -136,8 +136,5 @@ func (e *Engine) runJob(ctx context.Context, shared *interp.SessionCache, i int,
 	}
 	grid, err := jobStd.standardizeGridSession(ctx, sess, su,
 		[]int{jobStd.Config.SeqLength}, []intent.Constraint{jobStd.Config.Constraint})
-	if grid == nil {
-		return nil, err
-	}
-	return grid[0][0], err
+	return jobStd.jobResult(ctx, grid), err
 }

@@ -237,7 +237,7 @@ df = pd.get_dummies(df)
 			if err != nil {
 				t.Fatalf("original script failed: %v", err)
 			}
-			orig := &candidate{lines: gOrig.Lines, re: st.Corpus.Vocab.RELines(gOrig.Lines), checked: true}
+			orig := &candidate{lines: gOrig.Lines, re: st.Corpus.Vocab.RELines(gOrig.Lines)}
 			cand := &candidate{lines: gCand.Lines, re: orig.re - 1} // sorts ahead of orig
 
 			res := &Result{}

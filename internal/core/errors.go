@@ -16,6 +16,9 @@ var (
 	// ErrDeadlineExceeded reports that a standardization stopped because
 	// its context deadline (Options.Timeout) expired mid-search.
 	ErrDeadlineExceeded = errors.New("lucidscript: standardization deadline exceeded")
+	// ErrNoOutput reports that a script executed successfully but produced
+	// no output table, so there is nothing to hash.
+	ErrNoOutput = errors.New("lucidscript: script produced no output table")
 )
 
 // ctxCause maps a terminated context to the package's sentinel errors,

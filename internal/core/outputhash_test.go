@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -61,9 +62,11 @@ func hashJobs(t *testing.T, maxRows int) []hashJob {
 
 // TestCarriedOutputHash checks that the digest a search carries out of
 // verification equals re-executing the output script on the full sources,
-// whether a candidate or the input won, and that no digest is carried
-// when the search did not verify on the full sources. Each job runs as a
-// two-cell grid whose second τ_J no output can meet, so the input wins it.
+// whether a candidate or the input won, and that a single job that did not
+// verify on the full sources (sampled, degraded or canceled) still reports
+// that digest, from one uncounted run of its winner. Each unsampled job
+// runs as a two-cell grid whose second τ_J no output can meet, so the
+// input wins it.
 func TestCarriedOutputHash(t *testing.T) {
 	candidateWins, inputWins := 0, 0
 	for _, j := range hashJobs(t, 0) {
@@ -92,14 +95,51 @@ func TestCarriedOutputHash(t *testing.T) {
 		t.Fatalf("candidate won %d cells, input won %d; both cases must be checked", candidateWins, inputWins)
 	}
 
+	// jobHash checks a single job's digest against a re-execution, and its
+	// ExecChecks against the same search as a grid cell, which makes no
+	// full-data run.
+	jobHash := func(t *testing.T, name string, st *Standardizer, su *script.Script, res *Result) {
+		t.Helper()
+		if res.OutputHashErr != nil {
+			t.Fatalf("%s: %v", name, res.OutputHashErr)
+		}
+		if want := rehash(t, st, res.Script); res.OutputHash != want {
+			t.Fatalf("%s: job hash %q, re-executed %s", name, res.OutputHash, want)
+		}
+		grid, err := st.StandardizeGrid(su, []int{st.Config.SeqLength}, []intent.Constraint{st.Config.Constraint})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cell := grid[0][0]; res.ExecChecks != cell.ExecChecks || cell.OutputHash != "" {
+			t.Fatalf("%s: job ExecChecks %d, grid cell %d with hash %q", name, res.ExecChecks, cell.ExecChecks, cell.OutputHash)
+		}
+	}
+
 	t.Run("sampled", func(t *testing.T) {
 		for _, j := range hashJobs(t, 50) {
 			res, err := j.st.Standardize(j.su)
 			if err != nil {
 				t.Fatalf("%s: %v", j.name, err)
 			}
-			if res.OutputHash != "" {
-				t.Fatalf("%s: MaxRows 50 sampled the sources, yet a hash was carried", j.name)
+			jobHash(t, j.name, j.st, j.su, res)
+		}
+	})
+
+	t.Run("canceled sampled", func(t *testing.T) {
+		// The first finished beam step cancels the job; verification then
+		// falls back to the input, whose full-data digest is still run.
+		for _, j := range hashJobs(t, 50) {
+			cfg := j.st.Config
+			ctx, cancel := context.WithCancel(context.Background())
+			cfg.Tracer = &cancelOnStep{step: 1, cancel: cancel}
+			st := FromCorpus(j.st.Corpus, cfg)
+			res, err := st.StandardizeContext(ctx, j.su)
+			cancel()
+			if !errors.Is(err, ErrCanceled) || res == nil {
+				t.Fatalf("%s: result %v, err %v; want a partial result and ErrCanceled", j.name, res, err)
+			}
+			if want := rehash(t, st, res.Script); res.OutputHash != want {
+				t.Fatalf("%s: partial result hash %q, re-executed %s", j.name, res.OutputHash, want)
 			}
 		}
 	})
@@ -126,37 +166,38 @@ func TestCarriedOutputHash(t *testing.T) {
 			t.Fatalf("baseline added no statements:\n%s", baseline.Script.Source())
 		}
 		cfg.Faults = faults.New(3, rules...)
-		res, err := FromCorpus(base.Corpus, cfg).Standardize(input)
+		st := FromCorpus(base.Corpus, cfg)
+		res, err := st.Standardize(input)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Health.VerifyDegraded {
 			t.Fatalf("verification did not degrade: %+v", res.Health)
 		}
-		if res.OutputHash != "" {
-			t.Fatalf("degraded verification carried hash %s", res.OutputHash)
-		}
+		jobHash(t, "degraded", st, input, res)
 	})
 
 	t.Run("batch", func(t *testing.T) {
 		// One engine per corpus, its jobs sharing one session cache across
-		// three workers.
-		byStd := map[*Standardizer][]*script.Script{}
-		var order []*Standardizer
-		for _, j := range hashJobs(t, 0) {
-			if byStd[j.st] == nil {
-				order = append(order, j.st)
-			}
-			byStd[j.st] = append(byStd[j.st], j.su, j.su)
-		}
-		for _, st := range order {
-			results, errs := NewEngine(st, 3, 0).StandardizeBatch(context.Background(), byStd[st])
-			for i, res := range results {
-				if errs[i] != nil {
-					t.Fatalf("job %d: %v", i, errs[i])
+		// three workers, on full and on sampled sources.
+		for _, maxRows := range []int{0, 50} {
+			byStd := map[*Standardizer][]*script.Script{}
+			var order []*Standardizer
+			for _, j := range hashJobs(t, maxRows) {
+				if byStd[j.st] == nil {
+					order = append(order, j.st)
 				}
-				if want := rehash(t, st, res.Script); res.OutputHash != want {
-					t.Fatalf("batch job %d: carried hash %q, re-executed %s", i, res.OutputHash, want)
+				byStd[j.st] = append(byStd[j.st], j.su, j.su)
+			}
+			for _, st := range order {
+				results, errs := NewEngine(st, 3, 0).StandardizeBatch(context.Background(), byStd[st])
+				for i, res := range results {
+					if errs[i] != nil {
+						t.Fatalf("MaxRows %d job %d: %v", maxRows, i, errs[i])
+					}
+					if want := rehash(t, st, res.Script); res.OutputHash != want {
+						t.Fatalf("MaxRows %d batch job %d: hash %q, re-executed %s", maxRows, i, res.OutputHash, want)
+					}
 				}
 			}
 		}

@@ -81,16 +81,27 @@ func (st *Standardizer) runScript(ctx context.Context, sess interp.Session, s *s
 }
 
 // RunOutput executes a script against the corpus's full (unsampled)
-// sources and returns its output table. It is how serving layers compute
-// the real output — and its hash — of a standardized script: the search
-// itself runs over MaxRows-sampled sources, but the table users consume is
-// produced by the full data.
+// sources and returns its output table: the table users consume, while the
+// search itself runs over MaxRows-sampled sources.
 func (st *Standardizer) RunOutput(ctx context.Context, s *script.Script) (*frame.Frame, error) {
 	res, err := interp.RunContext(ctx, s, st.Corpus.Sources, st.interpOptions())
 	if err != nil {
 		return nil, err
 	}
 	return res.Main, nil
+}
+
+// OutputDigest is the digest (frame.Digest) of the output table RunOutput
+// produces, or ErrNoOutput when the script produced none.
+func (st *Standardizer) OutputDigest(ctx context.Context, s *script.Script) (string, error) {
+	out, err := st.RunOutput(ctx, s)
+	if err != nil {
+		return "", err
+	}
+	if out == nil {
+		return "", ErrNoOutput
+	}
+	return out.Digest(), nil
 }
 
 // checkScript is runScript for the execution constraint only.
@@ -136,11 +147,15 @@ type Result struct {
 	// IntentValue is the measured user-intent value of the output (Δ_J or Δ_M).
 	IntentValue float64
 	// OutputHash is the SHA-256 hex digest of Script's output table on the
-	// full sources (frame.Digest), taken from the output verification
-	// already executed. It is empty when that output is not the full-data
-	// one: MaxRows sampled a source table, or verification degraded to
-	// sampled tuples. Callers then re-execute Script to hash it.
+	// full sources (frame.Digest). Verification carries it when it ran on
+	// the full sources. When MaxRows sampled a source table or verification
+	// degraded to sampled tuples, a single job (Standardize, a batch or a
+	// queued job) runs Script once more on the full sources for it; a
+	// StandardizeGrid cell is left without it.
 	OutputHash string
+	// OutputHashErr says why a single job's OutputHash is empty: the
+	// full-data run failed, or produced no output table (ErrNoOutput).
+	OutputHashErr error
 	// Input is the lemmatized input script, one atom per line: the start
 	// of the path Applied takes to Script.
 	Input []dag.LineInfo
@@ -175,10 +190,23 @@ func (st *Standardizer) Standardize(su *script.Script) (*Result, error) {
 // describe the truncated run.
 func (st *Standardizer) StandardizeContext(ctx context.Context, su *script.Script) (*Result, error) {
 	grid, err := st.StandardizeGridContext(ctx, su, []int{st.Config.SeqLength}, []intent.Constraint{st.Config.Constraint})
+	return st.jobResult(ctx, grid), err
+}
+
+// jobResult is a single job's Result from its one-cell grid (nil for a nil
+// grid), with the full-data output digest set: when verification did not
+// carry it, the winner runs once more on the full sources. That run ignores
+// ctx's cancellation, so a canceled or timed-out job still reports the
+// digest of the partial result it returns, and it is not an ExecChecks run.
+func (st *Standardizer) jobResult(ctx context.Context, grid [][]*Result) *Result {
 	if grid == nil {
-		return nil, err
+		return nil
 	}
-	return grid[0][0], err
+	res := grid[0][0]
+	if res.OutputHash == "" {
+		res.OutputHash, res.OutputHashErr = st.OutputDigest(context.WithoutCancel(ctx), res.Script)
+	}
+	return res
 }
 
 // StandardizeGrid runs the beam search once to the largest requested
@@ -259,7 +287,6 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 	if origRun.Main == nil {
 		return nil, fmt.Errorf("%w: script produces no dataset", ErrInputScriptFails)
 	}
-	orig.checked = true
 	if o.enabled() {
 		o.emit(obs.Event{Kind: obs.EvCandidateExecuted, Phase: obs.PhaseCheck, Detail: "input", Dur: time.Since(t0)})
 	}
@@ -475,7 +502,7 @@ func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess interp.
 	steps := getStepsOpt(cand, st.Corpus.Vocab, !cfg.DisableLookahead)
 	timings.GetSteps += time.Since(t0)
 	steps = limitSteps(steps, cfg.StepLimit)
-	t1 := time.Now()
+	t1, check0 := time.Now(), counter.CheckTime
 	if cfg.Diversity {
 		clusters := clusterSteps(cand, steps, diversityClusters, st.Corpus.Vocab)
 		per := cfg.BeamSize / diversityClusters
@@ -488,7 +515,9 @@ func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess interp.
 	} else {
 		next = st.extendBeams(ctx, o, sess, next, cand, steps, cfg.BeamSize, seen, counter)
 	}
-	timings.GetTopKBeams += time.Since(t1)
+	// The early checks run inside extendBeams but are CheckIfExecutes'
+	// time, so GetTopKBeams leaves them out and the phases stay disjoint.
+	timings.GetTopKBeams += time.Since(t1) - (counter.CheckTime - check0)
 	if o.enabled() {
 		o.emit(obs.Event{Kind: obs.EvBeamExtended, Phase: obs.PhaseExtend, N: len(next) - before, Dur: time.Since(t0)})
 	}
@@ -535,7 +564,6 @@ func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess inter
 				}
 				continue
 			}
-			nc.checked = true
 			if o.enabled() {
 				o.emit(obs.Event{Kind: obs.EvCandidateExecuted, Phase: obs.PhaseCheck, Detail: tr.String(), Dur: dur})
 			}

@@ -9,6 +9,7 @@ import (
 
 	"lucidscript/internal/dag"
 	"lucidscript/internal/frame"
+	"lucidscript/internal/gen"
 	"lucidscript/internal/intent"
 	"lucidscript/internal/interp"
 	"lucidscript/internal/script"
@@ -300,6 +301,29 @@ func TestTimingsPopulated(t *testing.T) {
 	}
 	if res.ExecChecks == 0 {
 		t.Fatal("no execution checks recorded")
+	}
+}
+
+// TestTimingsDisjoint checks that the Fig. 7 phases are disjoint: the early
+// checks run inside beam extension but count only as CheckIfExecutes, so
+// the search and verification phases sum to at most Total.
+func TestTimingsDisjoint(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SeqLength = 4
+	cfg.Constraint.Tau = 0.5
+	for seed := int64(1); seed <= 6; seed++ {
+		g := gen.New(seed)
+		st := New(g.Scripts(10), g.Sources(400), cfg)
+		for i, su := range g.Scripts(3) {
+			res, err := st.Standardize(su)
+			if err != nil {
+				t.Fatalf("seed %d job %d: %v", seed, i, err)
+			}
+			tm := res.Timings
+			if sum := tm.GetSteps + tm.GetTopKBeams + tm.CheckIfExecutes + tm.VerifyConstraints; sum > tm.Total {
+				t.Errorf("seed %d job %d: phases sum to %s, more than the total %s: %+v", seed, i, sum, tm.Total, tm)
+			}
+		}
 	}
 }
 

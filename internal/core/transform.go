@@ -54,7 +54,6 @@ type candidate struct {
 	re       float64
 	lowWater int // transformations must not touch positions before this
 	applied  []Transformation
-	checked  bool       // execution already verified (early checking)
 	parent   *candidate // lineage link for diversity-preserving selection
 }
 

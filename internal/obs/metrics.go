@@ -51,10 +51,6 @@ const (
 	MPhaseCheckNanos    = "phase_check_nanoseconds_total"
 	MPhaseVerifyNanos   = "phase_verify_nanoseconds_total"
 	MPhaseTotalNanos    = "phase_total_nanoseconds_total"
-	// MOutputHashReexec counts finished served jobs whose output hash
-	// needed the script re-executed on the full sources, because their
-	// search verified on sampled sources or degraded.
-	MOutputHashReexec = "output_hash_reexec_total"
 )
 
 // Counter is a single atomic cumulative metric.

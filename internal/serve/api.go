@@ -237,9 +237,9 @@ type JobResult struct {
 	// Script is the standardized LSL source.
 	Script string `json:"script"`
 	// OutputHash is the SHA-256 hex digest of the standardized script's
-	// output table (CSV serialization over the full dataset) — compare it
-	// against lsstd's "output hash" stderr line to confirm the service
-	// and the CLI produce the same table.
+	// output table (CSV serialization over the full dataset), made by the
+	// job itself — compare it against lsstd's "output hash" stderr line to
+	// confirm the service and the CLI produce the same table.
 	OutputHash string `json:"output_hash,omitempty"`
 	// OutputHashError explains an absent OutputHash (e.g. the script
 	// produces no output table), so a missing hash is never silent.
@@ -360,16 +360,16 @@ type StoreHealth struct {
 	Jobs int `json:"jobs"`
 }
 
-// toWireResult converts a Result (possibly a partial one) plus its output
-// hash into the wire shape. sys must be the System the job ran on: it
-// explains the applied path.
-func toWireResult(sys *lucidscript.System, res *lucidscript.Result, outputHash string) *JobResult {
+// toWireResult converts a Result (possibly a partial one) into the wire
+// shape. sys must be the System the job ran on: it explains the applied
+// path.
+func toWireResult(sys *lucidscript.System, res *lucidscript.Result) *JobResult {
 	if res == nil {
 		return nil
 	}
 	jr := &JobResult{
 		Script:         res.Script.Source(),
-		OutputHash:     outputHash,
+		OutputHash:     res.OutputHash,
 		REBefore:       res.REBefore,
 		REAfter:        res.REAfter,
 		ImprovementPct: res.ImprovementPct,
@@ -395,6 +395,9 @@ func toWireResult(sys *lucidscript.System, res *lucidscript.Result, outputHash s
 			CurateSkipped:  res.Health.CurateSkipped,
 			VerifyDegraded: res.Health.VerifyDegraded,
 		}
+	}
+	if res.OutputHashErr != nil {
+		jr.OutputHashError = res.OutputHashErr.Error()
 	}
 	return jr
 }

@@ -85,17 +85,15 @@ func (c Config) withDefaults() Config {
 }
 
 // corpusState is one corpus generation of a dataset: the System curated
-// (or registry-loaded) at that version, its job queue, and the hash
-// semaphore bounding concurrent output-hash re-executions to the queue's
-// worker count. A hot-swap builds a whole new corpusState and swings the
-// dataset's active pointer; jobs hold the corpusState they were admitted
-// against, so they execute and hash on the corpus version they started
-// with no matter how many swaps happen while they run.
+// (or registry-loaded) at that version and its job queue. A hot-swap
+// builds a whole new corpusState and swings the dataset's active pointer;
+// jobs hold the corpusState they were admitted against, so they execute
+// on the corpus version they started with no matter how many swaps happen
+// while they run.
 type corpusState struct {
 	version int64
 	sys     *lucidscript.System
 	queue   *lucidscript.JobQueue
-	hashSem chan struct{}
 }
 
 // dataset is one hosted dataset name: the atomically swappable active
@@ -170,7 +168,7 @@ func NewServer(systems map[string]*lucidscript.System, cfg Config) (*Server, err
 	}
 	cfg = cfg.withDefaults()
 	// Registered up front so /metrics exports these counts at 0.
-	for _, name := range []string{obs.MOutputHashReexec, obs.MJaccardMemoHits, obs.MJaccardBoundRejects, obs.MValueSetsBuilt} {
+	for _, name := range []string{obs.MJaccardMemoHits, obs.MJaccardBoundRejects, obs.MValueSetsBuilt} {
 		cfg.Metrics.Counter(name)
 	}
 	s := &Server{
@@ -206,17 +204,15 @@ func NewServer(systems map[string]*lucidscript.System, cfg Config) (*Server, err
 	return s, nil
 }
 
-// newCorpusState wraps a System into a running corpus generation: a fresh
-// job queue and a hash semaphore sized to its worker pool. The version
-// comes from the System itself (0 for in-process corpora).
+// newCorpusState wraps a System into a running corpus generation with a
+// fresh job queue. The version comes from the System itself (0 for
+// in-process corpora).
 func (s *Server) newCorpusState(sys *lucidscript.System) *corpusState {
-	cs := &corpusState{
+	return &corpusState{
 		version: sys.CorpusVersion(),
 		sys:     sys,
 		queue:   sys.NewJobQueue(s.cfg.Workers, s.cfg.QueueDepth),
 	}
-	cs.hashSem = make(chan struct{}, cs.queue.Stats().Workers)
-	return cs
 }
 
 // recover replays the durable store into live server state: the id
@@ -359,7 +355,7 @@ func (s *Server) Handler() http.Handler {
 // in-flight jobs finish, and still-queued jobs fail with
 // CodeShuttingDown. If ctx expires first, in-flight jobs are canceled and
 // complete with their partial-result-on-cancel semantics; Shutdown still
-// waits for them to land — including their finalizers (output hash) — so
+// waits for them to land — including their finalizers — so
 // every recorded job reads as terminal before this returns. On a durable
 // server the store is then compacted and closed, making the shutdown a
 // clean restart point. Job status stays readable afterward (until its
@@ -541,31 +537,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // finalizeJob is each job's completion path, run on a per-job goroutine:
 // it waits for the job to land, releases the per-job timeout context,
-// takes the output hash the search carried on the result — or, when the
-// search ran on sampled sources or degraded, re-executes the script for it
-// off the HTTP handlers (bounded by the dataset's hashSem so completions
-// cannot out-run the queue's admission control) — persists the terminal
-// record, publishes it by closing rec.finalized, and schedules the
-// record's eviction after the retention window.
+// persists the terminal record (the result carries its own output hash),
+// publishes it by closing rec.finalized, and schedules the record's
+// eviction after the retention window.
 func (s *Server) finalizeJob(rec *jobRecord, cancel context.CancelFunc) {
 	<-rec.job.Done()
 	cancel()
 	res, err := rec.job.Result()
-	var hash string
-	var hashErr error
-	if err == nil && res != nil {
-		hash = res.OutputHash
-		if hash == "" {
-			// The re-execution runs on the generation the job was admitted
-			// against — pinned in rec.corpus — so a hot-swap mid-job cannot
-			// make the result's hash come from a different corpus than its
-			// search did.
-			s.metric(obs.MOutputHashReexec, 1)
-			rec.corpus.hashSem <- struct{}{}
-			hash, hashErr = rec.corpus.sys.OutputHash(res.Script)
-			<-rec.corpus.hashSem
-		}
-	}
 	now := time.Now().UTC()
 	st := &JobStatus{
 		ID:             rec.id,
@@ -574,10 +552,7 @@ func (s *Server) finalizeJob(rec *jobRecord, cancel context.CancelFunc) {
 		CorpusVersion:  rec.corpus.version,
 		SubmittedAt:    rec.submitted,
 		FinishedAt:     &now,
-		Result:         toWireResult(rec.corpus.sys, res, hash),
-	}
-	if hashErr != nil && st.Result != nil {
-		st.Result.OutputHashError = hashErr.Error()
+		Result:         toWireResult(rec.corpus.sys, res),
 	}
 	if err == nil {
 		st.State = StateDone
@@ -862,7 +837,7 @@ func (s *Server) lookup(id string) *jobRecord {
 // status builds the wire status of one job from its live state. The
 // terminal branch is gated on rec.finalized — not the job's own State —
 // so a status read can never observe a half-published completion: until
-// the finalizer has recorded the finish time and output hash, the job
+// the finalizer has recorded the finish time and result, the job
 // reports queued/running.
 func (s *Server) status(rec *jobRecord) JobStatus {
 	select {
