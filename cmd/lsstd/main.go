@@ -172,11 +172,15 @@ func main() {
 		res.REBefore, res.REAfter, res.ImprovementPct, res.IntentValue)
 	// The digest of the standardized script's output table over the full
 	// data; lsserved returns the same value per job (result.output_hash), so
-	// a CLI run and a served run are directly comparable.
-	if res.OutputHashErr == nil {
-		fmt.Fprintf(os.Stderr, "output hash: %s\n", res.OutputHash)
-	} else {
+	// a CLI run and a served run are directly comparable. An interrupted
+	// search reports none.
+	switch {
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "output hash unavailable: %v\n", err)
+	case res.OutputHashErr != nil:
 		fmt.Fprintf(os.Stderr, "output hash unavailable: %v\n", res.OutputHashErr)
+	default:
+		fmt.Fprintf(os.Stderr, "output hash: %s\n", res.OutputHash)
 	}
 	for _, tr := range res.Applied {
 		fmt.Fprintln(os.Stderr, "  "+tr.String())

@@ -136,5 +136,5 @@ func (e *Engine) runJob(ctx context.Context, shared *interp.SessionCache, i int,
 	}
 	grid, err := jobStd.standardizeGridSession(ctx, sess, su,
 		[]int{jobStd.Config.SeqLength}, []intent.Constraint{jobStd.Config.Constraint})
-	return jobStd.jobResult(ctx, grid), err
+	return jobStd.jobResult(ctx, grid, err)
 }

@@ -10,18 +10,32 @@ import (
 	"lucidscript/internal/faults"
 	"lucidscript/internal/gen"
 	"lucidscript/internal/intent"
+	"lucidscript/internal/interp"
+	"lucidscript/internal/obs"
 	"lucidscript/internal/script"
 )
 
-// rehash is what a caller without a carried digest does: run the script on
-// the full sources and digest its output (System.OutputHash).
+// cancelOn cancels the job's context at the first event of one kind.
+type cancelOn struct {
+	kind   obs.EventKind
+	cancel context.CancelFunc
+}
+
+func (c *cancelOn) Emit(e obs.Event) {
+	if e.Kind == c.kind {
+		c.cancel()
+	}
+}
+
+// rehash is the reference digest: run the script on the full sources and
+// digest its output table.
 func rehash(t *testing.T, st *Standardizer, sc *script.Script) string {
 	t.Helper()
-	out, err := st.RunOutput(context.Background(), sc)
-	if err != nil || out == nil {
-		t.Fatalf("re-executing the output script: out %v, err %v", out, err)
+	res, err := interp.Run(sc, st.Corpus.Sources, st.interpOptions())
+	if err != nil || res.Main == nil {
+		t.Fatalf("re-executing the output script: %v", err)
 	}
-	return out.Digest()
+	return res.Main.Digest()
 }
 
 type hashJob struct {
@@ -62,9 +76,10 @@ func hashJobs(t *testing.T, maxRows int) []hashJob {
 
 // TestCarriedOutputHash checks that the digest a search carries out of
 // verification equals re-executing the output script on the full sources,
-// whether a candidate or the input won, and that a single job that did not
-// verify on the full sources (sampled, degraded or canceled) still reports
-// that digest, from one uncounted run of its winner. Each unsampled job
+// whether a candidate or the input won, and that a finished single job
+// that did not verify on the full sources (sampled or degraded) still
+// reports that digest, from one uncounted run of its winner, while a
+// canceled one reports none. Each unsampled job
 // runs as a two-cell grid whose second τ_J no output can meet, so the
 // input wins it.
 func TestCarriedOutputHash(t *testing.T) {
@@ -125,21 +140,31 @@ func TestCarriedOutputHash(t *testing.T) {
 		}
 	})
 
-	t.Run("canceled sampled", func(t *testing.T) {
-		// The first finished beam step cancels the job; verification then
-		// falls back to the input, whose full-data digest is still run.
-		for _, j := range hashJobs(t, 50) {
-			cfg := j.st.Config
-			ctx, cancel := context.WithCancel(context.Background())
-			cfg.Tracer = &cancelOnStep{step: 1, cancel: cancel}
-			st := FromCorpus(j.st.Corpus, cfg)
-			res, err := st.StandardizeContext(ctx, j.su)
-			cancel()
-			if !errors.Is(err, ErrCanceled) || res == nil {
-				t.Fatalf("%s: result %v, err %v; want a partial result and ErrCanceled", j.name, res, err)
-			}
-			if want := rehash(t, st, res.Script); res.OutputHash != want {
-				t.Fatalf("%s: partial result hash %q, re-executed %s", j.name, res.OutputHash, want)
+	t.Run("canceled", func(t *testing.T) {
+		// A job canceled after its first beam step, on full or on sampled
+		// sources, returns its partial result without a digest: it makes
+		// no full-data run. A sampled job canceled once its search is done
+		// trips on the context in that run and ends canceled, also
+		// without a digest.
+		for _, tc := range []struct {
+			maxRows int
+			on      obs.EventKind
+		}{{0, obs.EvStepDone}, {50, obs.EvStepDone}, {50, obs.EvSearchDone}} {
+			for _, j := range hashJobs(t, tc.maxRows) {
+				cfg := j.st.Config
+				ctx, cancel := context.WithCancel(context.Background())
+				cfg.Tracer = &cancelOn{kind: tc.on, cancel: cancel}
+				st := FromCorpus(j.st.Corpus, cfg)
+				res, err := st.StandardizeContext(ctx, j.su)
+				cancel()
+				if !errors.Is(err, ErrCanceled) || res == nil {
+					t.Fatalf("MaxRows %d, canceled on %s, %s: result %v, err %v; want a partial result and ErrCanceled",
+						tc.maxRows, tc.on, j.name, res, err)
+				}
+				if res.OutputHash != "" || res.OutputHashErr != nil {
+					t.Fatalf("MaxRows %d, canceled on %s, %s: hash %q, hash error %v; want neither",
+						tc.maxRows, tc.on, j.name, res.OutputHash, res.OutputHashErr)
+				}
 			}
 		}
 	})

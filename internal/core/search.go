@@ -80,28 +80,19 @@ func (st *Standardizer) runScript(ctx context.Context, sess interp.Session, s *s
 	return interp.RunContext(ctx, s, st.execSources(), st.interpOptions())
 }
 
-// RunOutput executes a script against the corpus's full (unsampled)
-// sources and returns its output table: the table users consume, while the
-// search itself runs over MaxRows-sampled sources.
-func (st *Standardizer) RunOutput(ctx context.Context, s *script.Script) (*frame.Frame, error) {
-	res, err := interp.RunContext(ctx, s, st.Corpus.Sources, st.interpOptions())
-	if err != nil {
-		return nil, err
-	}
-	return res.Main, nil
-}
-
-// OutputDigest is the digest (frame.Digest) of the output table RunOutput
-// produces, or ErrNoOutput when the script produced none.
+// OutputDigest executes a script against the corpus's full (unsampled)
+// sources, which produce the table users consume while the search runs over
+// MaxRows-sampled ones, and returns the digest (frame.Digest) of its output
+// table, or ErrNoOutput when the script produced none.
 func (st *Standardizer) OutputDigest(ctx context.Context, s *script.Script) (string, error) {
-	out, err := st.RunOutput(ctx, s)
+	res, err := interp.RunContext(ctx, s, st.Corpus.Sources, st.interpOptions())
 	if err != nil {
 		return "", err
 	}
-	if out == nil {
+	if res.Main == nil {
 		return "", ErrNoOutput
 	}
-	return out.Digest(), nil
+	return res.Main.Digest(), nil
 }
 
 // checkScript is runScript for the execution constraint only.
@@ -149,12 +140,13 @@ type Result struct {
 	// OutputHash is the SHA-256 hex digest of Script's output table on the
 	// full sources (frame.Digest). Verification carries it when it ran on
 	// the full sources. When MaxRows sampled a source table or verification
-	// degraded to sampled tuples, a single job (Standardize, a batch or a
-	// queued job) runs Script once more on the full sources for it; a
-	// StandardizeGrid cell is left without it.
+	// degraded to sampled tuples, a finished single job (Standardize, a
+	// batch or a queued job) runs Script once more on the full sources for
+	// it; a StandardizeGrid cell is left without it. A job that ended
+	// canceled or timed out carries none.
 	OutputHash string
-	// OutputHashErr says why a single job's OutputHash is empty: the
-	// full-data run failed, or produced no output table (ErrNoOutput).
+	// OutputHashErr says why a finished single job's OutputHash is empty:
+	// the full-data run failed, or produced no output table (ErrNoOutput).
 	OutputHashErr error
 	// Input is the lemmatized input script, one atom per line: the start
 	// of the path Applied takes to Script.
@@ -187,26 +179,31 @@ func (st *Standardizer) Standardize(su *script.Script) (*Result, error) {
 // returns ErrCanceled/ErrDeadlineExceeded together with a partial, non-nil
 // Result (the best constraint-verified candidate found so far — the input
 // script when verification had not begun) whose Timings and CacheStats
-// describe the truncated run.
+// describe the truncated run, and which carries no output digest.
 func (st *Standardizer) StandardizeContext(ctx context.Context, su *script.Script) (*Result, error) {
 	grid, err := st.StandardizeGridContext(ctx, su, []int{st.Config.SeqLength}, []intent.Constraint{st.Config.Constraint})
-	return st.jobResult(ctx, grid), err
+	return st.jobResult(ctx, grid, err)
 }
 
-// jobResult is a single job's Result from its one-cell grid (nil for a nil
-// grid), with the full-data output digest set: when verification did not
-// carry it, the winner runs once more on the full sources. That run ignores
-// ctx's cancellation, so a canceled or timed-out job still reports the
-// digest of the partial result it returns, and it is not an ExecChecks run.
-func (st *Standardizer) jobResult(ctx context.Context, grid [][]*Result) *Result {
+// jobResult is a single job's Result from its one-cell grid and the
+// search's error. A finished job gets its full-data output digest: when
+// verification did not carry it, the winner runs once more on the full
+// sources under ctx, outside ExecChecks, and a cancellation by the end of
+// that run ends the job canceled. A job that did not finish makes no such
+// run and carries no digest.
+func (st *Standardizer) jobResult(ctx context.Context, grid [][]*Result, err error) (*Result, error) {
 	if grid == nil {
-		return nil
+		return nil, err
 	}
 	res := grid[0][0]
-	if res.OutputHash == "" {
-		res.OutputHash, res.OutputHashErr = st.OutputDigest(context.WithoutCancel(ctx), res.Script)
+	if err == nil && res.OutputHash == "" {
+		res.OutputHash, res.OutputHashErr = st.OutputDigest(ctx, res.Script)
+		err = ctxCause(ctx)
 	}
-	return res
+	if err != nil {
+		res.OutputHash, res.OutputHashErr = "", nil
+	}
+	return res, err
 }
 
 // StandardizeGrid runs the beam search once to the largest requested

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -416,6 +417,59 @@ func TestServeJobTimeout(t *testing.T) {
 	if st.State != StateFailed || st.Code != CodeDeadlineExceeded {
 		t.Fatalf("timed-out job state/code = %q/%q, want %q/%q",
 			st.State, st.Code, StateFailed, CodeDeadlineExceeded)
+	}
+}
+
+// pauseOnce blocks the job that emits the first event of one kind until
+// the test releases it, so the test can cancel that job at a known point.
+type pauseOnce struct {
+	kind              obs.EventKind
+	once              sync.Once
+	reached, released chan struct{}
+}
+
+func (p *pauseOnce) Emit(e obs.Event) {
+	if e.Kind == p.kind {
+		p.once.Do(func() {
+			close(p.reached)
+			<-p.released
+		})
+	}
+}
+
+// TestServeCancelSampled cancels a job on sampled sources after its first
+// beam step and once its search is done: either way it lands canceled with
+// no output hash, so it made no full-data run after the cancel.
+func TestServeCancelSampled(t *testing.T) {
+	for _, kind := range []obs.EventKind{obs.EvStepDone, obs.EvSearchDone} {
+		t.Run(string(kind), func(t *testing.T) {
+			pause := &pauseOnce{kind: kind, reached: make(chan struct{}), released: make(chan struct{})}
+			opts := genOptions()
+			opts.Tracer = pause
+			sys := genSystem(t, 42, opts)
+			_, client := startServer(t, map[string]*lucidscript.System{"gen": sys}, Config{Workers: 1})
+			ctx := context.Background()
+			sub, err := client.Submit(ctx, "gen", gen.New(3).ScriptSource(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-pause.reached
+			_, err = client.Cancel(ctx, sub.ID)
+			close(pause.released)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := client.Wait(ctx, sub.ID, 5*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateCanceled || st.Result == nil {
+				t.Fatalf("state %q, result %v; want canceled with a partial result", st.State, st.Result)
+			}
+			if st.Result.OutputHash != "" || st.Result.OutputHashError != "" {
+				t.Errorf("canceled job output hash %q, error %q; want neither", st.Result.OutputHash, st.Result.OutputHashError)
+			}
+		})
 	}
 }
 
