@@ -237,8 +237,9 @@ df = pd.get_dummies(df)
 			if err != nil {
 				t.Fatalf("original script failed: %v", err)
 			}
-			orig := &candidate{lines: gOrig.Lines, re: st.Corpus.Vocab.RELines(gOrig.Lines)}
-			cand := &candidate{lines: gCand.Lines, re: orig.re - 1} // sorts ahead of orig
+			orig := newCandidate(gOrig.Lines, st.Corpus.Vocab)
+			cand := newCandidate(gCand.Lines, st.Corpus.Vocab)
+			cand.re = orig.re - 1 // sorts ahead of orig
 
 			res := &Result{}
 			best, checked := st.verifyWith(ctx, newObsState(ctx, st.Config), sess,

@@ -28,7 +28,7 @@ func BenchmarkGetSteps(b *testing.B) {
 	cands := make([]*candidate, len(jobs))
 	for i, j := range jobs {
 		lines := dag.Build(j.Script).Lines
-		cands[i] = &candidate{lines: lines, re: v.RELines(lines)}
+		cands[i] = newCandidate(lines, v)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

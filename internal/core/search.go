@@ -95,14 +95,6 @@ func (st *Standardizer) OutputDigest(ctx context.Context, s *script.Script) (str
 	return res.Main.Digest(), nil
 }
 
-// checkScript is runScript for the execution constraint only.
-func (st *Standardizer) checkScript(ctx context.Context, sess interp.Session, s *script.Script) error {
-	if sess != nil {
-		return sess.CheckContext(ctx, s)
-	}
-	return interp.CheckExecutesContext(ctx, s, st.execSources(), st.interpOptions())
-}
-
 // New curates the search space from corpus scripts (offline phase): each is
 // lemmatized and converted to its DAG, and the atom/edge vocabularies and
 // corpus distribution are built.
@@ -264,7 +256,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 
 	// Lemmatize the input and compute its baseline.
 	g := dag.Build(su)
-	orig := &candidate{lines: g.Lines, re: st.Corpus.Vocab.RELines(g.Lines)}
+	orig := newCandidate(g.Lines, st.Corpus.Vocab)
 	if o.enabled() {
 		o.emit(obs.Event{Kind: obs.EvSearchStart, Phase: obs.PhaseExtend, N: len(g.Lines)})
 	}
@@ -295,7 +287,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 	counter := &extendStats{}
 	beams := []*candidate{orig}
 	archive := []*candidate{orig}
-	seen := map[string]bool{orig.key(): true}
+	seen := map[string]bool{orig.key: true}
 	var searchErr error
 	pprof.SetGoroutineLabels(o.ctxExtend)
 	for step := 0; step < maxSeq && len(beams) > 0; step++ {
@@ -426,7 +418,7 @@ func less(a, b *candidate) bool {
 	if a.re != b.re {
 		return a.re < b.re
 	}
-	return a.key() < b.key()
+	return a.key < b.key
 }
 
 // limitSteps bounds the ranked transformation list to the top `limit` adds
@@ -536,14 +528,13 @@ func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess inter
 			break
 		}
 		nc := cand.apply(tr, st.Corpus.Vocab)
-		key := nc.key()
-		if seen[key] {
+		if seen[nc.key] {
 			continue
 		}
 		if st.Config.EarlyCheck {
 			t0 := time.Now()
 			pprof.SetGoroutineLabels(o.ctxCheck)
-			err := st.checkScript(o.ctxCheck, sess, dag.ToScript(nc.lines))
+			_, err := st.runScript(o.ctxCheck, sess, dag.ToScript(nc.lines))
 			pprof.SetGoroutineLabels(o.ctxExtend)
 			dur := time.Since(t0)
 			res.CheckTime += dur
@@ -565,7 +556,7 @@ func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess inter
 				o.emit(obs.Event{Kind: obs.EvCandidateExecuted, Phase: obs.PhaseCheck, Detail: tr.String(), Dur: dur})
 			}
 		}
-		seen[key] = true
+		seen[nc.key] = true
 		acc = append(acc, nc)
 		admitted++
 		res.Admitted++

@@ -149,7 +149,7 @@ func TestStandardizeImprovesRE(t *testing.T) {
 	}
 	// Output must execute.
 	srcs := map[string]*frame.Frame{"diabetes.csv": diabetesFrame(t, 120)}
-	if err := interp.CheckExecutes(res.Script, srcs, interp.Options{Seed: 1}); err != nil {
+	if _, err := interp.Run(res.Script, srcs, interp.Options{Seed: 1}); err != nil {
 		t.Fatalf("output script does not execute: %v\n%s", err, res.Script.Source())
 	}
 }
@@ -226,7 +226,7 @@ func TestLateCheckingStillExecutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := map[string]*frame.Frame{"diabetes.csv": diabetesFrame(t, 120)}
-	if err := interp.CheckExecutes(res.Script, srcs, interp.Options{Seed: 1}); err != nil {
+	if _, err := interp.Run(res.Script, srcs, interp.Options{Seed: 1}); err != nil {
 		t.Fatalf("late-checked output does not execute: %v", err)
 	}
 }
@@ -373,7 +373,7 @@ func TestEarliestInsertPos(t *testing.T) {
 func TestCandidateApply(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	g := dag.Build(script.MustParse(userScript))
-	c := &candidate{lines: g.Lines, re: st.Corpus.Vocab.RELines(g.Lines)}
+	c := newCandidate(g.Lines, st.Corpus.Vocab)
 	atom := st.Corpus.Vocab.Lines["df = df.fillna(df.mean())"]
 	added := c.apply(Transformation{Type: TransformAdd, Atom: atom, Pos: 2}, st.Corpus.Vocab)
 	if len(added.lines) != len(c.lines)+1 {
@@ -398,7 +398,7 @@ func TestCandidateApply(t *testing.T) {
 func TestGetStepsRankedByRE(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	g := dag.Build(script.MustParse(userScript))
-	c := &candidate{lines: g.Lines, re: st.Corpus.Vocab.RELines(g.Lines)}
+	c := newCandidate(g.Lines, st.Corpus.Vocab)
 	steps := getStepsOpt(c, st.Corpus.Vocab, true)
 	if len(steps) == 0 {
 		t.Fatal("no steps enumerated")

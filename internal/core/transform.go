@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"lucidscript/internal/dag"
 	"lucidscript/internal/entropy"
@@ -51,18 +52,26 @@ func (tr Transformation) String() string {
 // atoms, the score, the monotonicity low-water mark, and bookkeeping.
 type candidate struct {
 	lines    []dag.LineInfo
+	key      string // the line keys, each ended by "\n": the dedup key and tie-break
 	re       float64
 	lowWater int // transformations must not touch positions before this
 	applied  []Transformation
 	parent   *candidate // lineage link for diversity-preserving selection
 }
 
-func (c *candidate) key() string {
-	s := ""
-	for _, li := range c.lines {
-		s += li.Key + "\n"
+// newCandidate returns the candidate for lines, scored and keyed.
+func newCandidate(lines []dag.LineInfo, v *entropy.Vocab) *candidate {
+	n := 0
+	for _, li := range lines {
+		n += len(li.Key) + 1
 	}
-	return s
+	var b strings.Builder
+	b.Grow(n)
+	for _, li := range lines {
+		b.WriteString(li.Key)
+		b.WriteByte('\n')
+	}
+	return &candidate{lines: lines, key: b.String(), re: v.RELines(lines)}
 }
 
 // apply returns the candidate produced by one transformation, enforcing
@@ -85,13 +94,11 @@ func (c *candidate) apply(tr Transformation, v *entropy.Vocab) *candidate {
 			low = 0
 		}
 	}
-	return &candidate{
-		lines:    lines,
-		re:       v.RELines(lines),
-		lowWater: low,
-		applied:  append(append([]Transformation(nil), c.applied...), tr),
-		parent:   c,
-	}
+	nc := newCandidate(lines, v)
+	nc.lowWater = low
+	nc.applied = append(append([]Transformation(nil), c.applied...), tr)
+	nc.parent = c
+	return nc
 }
 
 // applyLines returns the lines produced by one transformation, leaving the

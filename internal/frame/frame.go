@@ -432,53 +432,13 @@ func (f *Frame) Describe() *Frame {
 	return out
 }
 
-// sortedCols returns the columns ordered by name, the canonical order
-// RowString renders in.
+// sortedCols returns the columns ordered by name, the order RowKeys
+// keys rows in.
 func (f *Frame) sortedCols() []*Series {
 	cols := make([]*Series, len(f.cols))
 	copy(cols, f.cols)
 	sort.Slice(cols, func(i, j int) bool { return cols[i].name < cols[j].name })
 	return cols
-}
-
-// appendRow appends row i rendered through the given column order:
-// name=value cells joined by tabs, nulls as "<null>".
-func appendRow(buf []byte, cols []*Series, i int) []byte {
-	for j, c := range cols {
-		if j > 0 {
-			buf = append(buf, '\t')
-		}
-		buf = append(buf, c.name...)
-		buf = append(buf, '=')
-		if c.valid[i] {
-			buf = c.appendCell(buf, i)
-		} else {
-			buf = append(buf, "<null>"...)
-		}
-	}
-	return buf
-}
-
-// RowString renders row i as a canonical tab-joined string across columns
-// (used by the table Jaccard measure). Column order follows sorted names so
-// scripts that merely reorder columns compare equal.
-func (f *Frame) RowString(i int) string {
-	return string(appendRow(nil, f.sortedCols(), i))
-}
-
-// RowStrings renders every row via RowString, hoisting the column sort and
-// reusing one render buffer across rows — this feeds the Jaccard row-count
-// maps on every candidate verification, so the per-row name sort that used
-// to dominate it matters.
-func (f *Frame) RowStrings() []string {
-	cols := f.sortedCols()
-	out := make([]string, f.NumRows())
-	var buf []byte
-	for i := range out {
-		buf = appendRow(buf[:0], cols, i)
-		out[i] = string(buf)
-	}
-	return out
 }
 
 // String renders a short preview of the frame (up to 10 rows) for debugging.

@@ -106,12 +106,14 @@ func BenchmarkMergeInner(b *testing.B) {
 	}
 }
 
-func BenchmarkRowStrings(b *testing.B) {
+var benchMask Mask
+
+func BenchmarkDuplicated(b *testing.B) {
 	f := benchFrame(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.RowStrings()
+		benchMask = f.Duplicated()
 	}
 }
 

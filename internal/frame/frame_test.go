@@ -2,6 +2,7 @@ package frame
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -76,9 +77,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if g.NumRows() != f.NumRows() || g.NumCols() != f.NumCols() {
 		t.Fatalf("round trip shape mismatch: %dx%d", g.NumRows(), g.NumCols())
 	}
-	for i := 0; i < f.NumRows(); i++ {
-		if f.RowString(i) != g.RowString(i) {
-			t.Fatalf("row %d differs:\n%s\n%s", i, f.RowString(i), g.RowString(i))
+	fk, gk := f.RowKeys(), g.RowKeys()
+	for i := range fk {
+		if fk[i] != gk[i] {
+			t.Fatalf("row %d differs:\n%q\n%q", i, fk[i], gk[i])
 		}
 	}
 }
@@ -167,10 +169,8 @@ func TestHeadAndSample(t *testing.T) {
 	if s1.NumRows() != 2 {
 		t.Fatal("Sample size")
 	}
-	for i := 0; i < 2; i++ {
-		if s1.RowString(i) != s2.RowString(i) {
-			t.Fatal("Sample with same seed should be deterministic")
-		}
+	if s1.Digest() != s2.Digest() {
+		t.Fatal("Sample with same seed should be deterministic")
 	}
 }
 
@@ -256,11 +256,24 @@ func TestGroupBy(t *testing.T) {
 	}
 }
 
-func TestRowStringOrderInsensitive(t *testing.T) {
+func TestRowKeysOrderInsensitive(t *testing.T) {
 	a, _ := ReadCSVString("x,y\n1,2\n")
 	b, _ := ReadCSVString("y,x\n2,1\n")
-	if a.RowString(0) != b.RowString(0) {
-		t.Fatalf("RowString should be column-order insensitive:\n%s\n%s", a.RowString(0), b.RowString(0))
+	if a.RowKeys()[0] != b.RowKeys()[0] {
+		t.Fatalf("RowKeys should be column-order insensitive:\n%q\n%q", a.RowKeys()[0], b.RowKeys()[0])
+	}
+}
+
+// TestDuplicatedSeparatorCollision keeps two different rows whose
+// tab-joined name=value renderings are one string.
+func TestDuplicatedSeparatorCollision(t *testing.T) {
+	f, err := FromSeries(NewStringSeries("a", []string{"1\tb=2", "1", "1"}),
+		NewStringSeries("b", []string{"3", "2\tb=3", "2\tb=3"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Duplicated(); !reflect.DeepEqual(got, Mask{false, false, true}) {
+		t.Fatalf("Duplicated() = %v, want [false false true]", got)
 	}
 }
 

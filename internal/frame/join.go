@@ -22,10 +22,12 @@ func (k JoinKind) String() string {
 }
 
 // Merge joins two frames on the named key column, like pandas df.merge
-// (how="inner"/"left"). When several right rows share a key, the first
-// match wins (sufficient for the dimension-table lookups preparation
-// scripts perform). Non-key right columns that collide with left column
-// names are suffixed "_y".
+// (how="inner"/"left"). Two key cells match when they are one value
+// (cellKey), so Int 3 meets Float 3 and String "3"; a null key matches
+// nothing. When several right rows share a key, the first match wins
+// (sufficient for the dimension-table lookups preparation scripts
+// perform). Non-key right columns that collide with left column names are
+// suffixed "_y".
 func Merge(left, right *Frame, on string, kind JoinKind) (*Frame, error) {
 	lk, err := left.Column(on)
 	if err != nil {
@@ -35,15 +37,16 @@ func Merge(left, right *Frame, on string, kind JoinKind) (*Frame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("frame: merge right: %w", err)
 	}
-	// Index the right side by key rendering, first match wins.
+	// Index the right side by cell key, first match wins.
 	rIndex := make(map[string]int, right.NumRows())
+	var buf []byte
 	for i := 0; i < right.NumRows(); i++ {
 		if !rk.IsValid(i) {
 			continue
 		}
-		key := rk.StringAt(i)
-		if _, seen := rIndex[key]; !seen {
-			rIndex[key] = i
+		buf = rk.appendKey(buf[:0], i)
+		if _, seen := rIndex[string(buf)]; !seen {
+			rIndex[string(buf)] = i
 		}
 	}
 	var leftPos, rightPos []int // rightPos −1 = no match (left join)
@@ -55,7 +58,8 @@ func Merge(left, right *Frame, on string, kind JoinKind) (*Frame, error) {
 			}
 			continue
 		}
-		j, ok := rIndex[lk.StringAt(i)]
+		buf = lk.appendKey(buf[:0], i)
+		j, ok := rIndex[string(buf)]
 		switch {
 		case ok:
 			leftPos = append(leftPos, i)

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"strconv"
@@ -12,19 +13,7 @@ const nullValue = "<null>"
 // ValueSet is the set of distinct cell values of a frame, a value being a
 // cell as StringAt renders it and "<null>" for a null cell: the set the
 // Δ_J intent measure compares (the paper's Example 2.1). It is keyed on
-// typed values, so building one renders no cell:
-//
-//   - a float is its bits, every NaN one value;
-//   - an int below 1e6 in magnitude is the bits of the equal float, since
-//     both render as the same digits; a larger int renders unlike any float
-//     (those print with an exponent) and is keyed as itself;
-//   - a bool is a flag;
-//   - a string that is exactly the rendering of a float, int, bool, NaN or
-//     null is keyed as that value; any other string is itself.
-//
-// So two cells are one value exactly when their renderings are equal:
-// Int 3, Float 3 and String "3" are one value, Float -0 ("-0") and 0 are
-// two, Bool true and String "true" are one.
+// typed values (see cellKey), so building one renders no cell.
 type ValueSet struct {
 	nums  map[uint64]struct{}
 	ints  map[int64]struct{}
@@ -43,6 +32,141 @@ const (
 // 1e6 or more renders with an exponent, every smaller integral float as
 // plain digits.
 const intFloatLimit = 1e6
+
+// keyKind is the class of a cellKey.
+type keyKind uint8
+
+const (
+	keyFlag keyKind = iota // null, NaN, false or true: bits holds its flag
+	keyNum                 // a float, or an int below 1e6: bits holds the float's bits
+	keyInt                 // an int of magnitude 1e6 or more: bits holds it
+	keyStr                 // any other string, keyed as itself
+)
+
+// cellKey is the one identity of a cell, shared by value sets, row keys and
+// merge keys:
+//
+//   - a float is its bits, every NaN one value;
+//   - an int below 1e6 in magnitude is the bits of the equal float, since
+//     both render as the same digits; a larger int renders unlike any float
+//     (those print with an exponent) and is keyed as itself;
+//   - a bool, NaN and null are flags;
+//   - a string that is exactly the rendering of a float, int, bool, NaN or
+//     null is keyed as that value; any other string is itself.
+//
+// So two cells are one value exactly when their renderings are equal:
+// Int 3, Float 3 and String "3" are one value, Float -0 ("-0") and 0 are
+// two, Bool true and String "true" are one.
+type cellKey struct {
+	kind keyKind
+	bits uint64
+}
+
+func floatKey(v float64) cellKey {
+	if math.IsNaN(v) {
+		return cellKey{keyFlag, uint64(flagNaN)}
+	}
+	return cellKey{keyNum, math.Float64bits(v)}
+}
+
+func intKey(v int64) cellKey {
+	if -intFloatLimit < v && v < intFloatLimit {
+		return cellKey{keyNum, math.Float64bits(float64(v))}
+	}
+	return cellKey{keyInt, uint64(v)}
+}
+
+func boolKey(v bool) cellKey {
+	if v {
+		return cellKey{keyFlag, uint64(flagTrue)}
+	}
+	return cellKey{keyFlag, uint64(flagFalse)}
+}
+
+// stringKey keys s as the value it is the exact rendering of, if any. A
+// string shaped like a number is parsed, and the parse confirmed by
+// rendering the parsed value back, so "1.0" or "1e6" stay strings.
+func stringKey(s string) cellKey {
+	switch {
+	case numberShaped(s):
+		var buf [32]byte
+		if v, err := strconv.ParseFloat(s, 64); err == nil && string(strconv.AppendFloat(buf[:0], v, 'g', -1, 64)) == s {
+			return floatKey(v)
+		}
+		if v, err := strconv.ParseInt(s, 10, 64); err == nil && string(strconv.AppendInt(buf[:0], v, 10)) == s {
+			return intKey(v)
+		}
+	case s == "NaN":
+		return cellKey{keyFlag, uint64(flagNaN)}
+	case s == "true":
+		return boolKey(true)
+	case s == "false":
+		return boolKey(false)
+	case s == nullValue:
+		return cellKey{keyFlag, uint64(flagNull)}
+	}
+	return cellKey{kind: keyStr}
+}
+
+// appendKey appends the key of cell i to buf. The encoding is prefix-free,
+// so the keys of a row's cells appended one after another identify the
+// row, and two cells append equal bytes exactly when their cellKeys are
+// equal: one tag byte, then a flag byte, eight bytes of bits, or a string's
+// varint length and bytes.
+func (s *Series) appendKey(buf []byte, i int) []byte {
+	k := cellKey{keyFlag, uint64(flagNull)}
+	if s.valid[i] {
+		switch s.kind {
+		case Float:
+			k = floatKey(s.fs[i])
+		case Int:
+			k = intKey(s.is[i])
+		case Bool:
+			k = boolKey(s.bs[i])
+		case String:
+			k = stringKey(s.ss[i])
+		}
+	}
+	buf = append(buf, byte(k.kind))
+	switch k.kind {
+	case keyFlag:
+		return append(buf, byte(k.bits))
+	case keyStr:
+		buf = binary.AppendUvarint(buf, uint64(len(s.ss[i])))
+		return append(buf, s.ss[i]...)
+	}
+	return binary.LittleEndian.AppendUint64(buf, k.bits)
+}
+
+// RowKeys returns one opaque key per row over the columns in sorted-name
+// order: two rows of frames with the same column names have one key
+// exactly when each column's two cells are one value, so scripts that
+// merely reorder columns compare equal.
+func (f *Frame) RowKeys() []string {
+	cols := f.sortedCols()
+	out := make([]string, f.NumRows())
+	var buf []byte
+	for i := range out {
+		buf = buf[:0]
+		for _, c := range cols {
+			buf = c.appendKey(buf, i)
+		}
+		out[i] = string(buf)
+	}
+	return out
+}
+
+// Duplicated marks every row whose key (RowKeys) an earlier row has, as
+// pandas' duplicated(keep="first") does.
+func (f *Frame) Duplicated() Mask {
+	seen := make(map[string]struct{}, f.NumRows())
+	m := make(Mask, f.NumRows())
+	for i, k := range f.RowKeys() {
+		_, m[i] = seen[k]
+		seen[k] = struct{}{}
+	}
+	return m
+}
 
 // ValueSet collects the frame's distinct cell values. The set itself is
 // not kept, its size is: DistinctCount reports it from then on.
@@ -72,7 +196,7 @@ func (vs *ValueSet) addSeries(s *Series) {
 		for i, v := range s.fs {
 			if b := math.Float64bits(v); s.valid[i] && (first || b != prev) {
 				first, prev = false, b
-				vs.addFloat(v)
+				vs.add(floatKey(v), "")
 			}
 		}
 	case Int:
@@ -80,13 +204,13 @@ func (vs *ValueSet) addSeries(s *Series) {
 		for i, v := range s.is {
 			if s.valid[i] && (first || v != prev) {
 				first, prev = false, v
-				vs.addInt(v)
+				vs.add(intKey(v), "")
 			}
 		}
 	case Bool:
 		for i, v := range s.bs {
 			if s.valid[i] {
-				vs.addBool(v)
+				vs.add(boolKey(v), "")
 			}
 		}
 	case String:
@@ -94,65 +218,24 @@ func (vs *ValueSet) addSeries(s *Series) {
 		for i, v := range s.ss {
 			if s.valid[i] && (first || v != prev) {
 				first, prev = false, v
-				vs.addString(v)
+				vs.add(stringKey(v), v)
 			}
 		}
 	}
 }
 
-func (vs *ValueSet) addFloat(v float64) {
-	if math.IsNaN(v) {
-		vs.flags |= flagNaN
-		return
+// add adds the value keyed k; s is the cell's string when k is a keyStr.
+func (vs *ValueSet) add(k cellKey, s string) {
+	switch k.kind {
+	case keyFlag:
+		vs.flags |= uint8(k.bits)
+	case keyNum:
+		vs.nums[k.bits] = struct{}{}
+	case keyInt:
+		vs.ints[int64(k.bits)] = struct{}{}
+	default:
+		vs.strs[s] = struct{}{}
 	}
-	vs.nums[math.Float64bits(v)] = struct{}{}
-}
-
-func (vs *ValueSet) addInt(v int64) {
-	if -intFloatLimit < v && v < intFloatLimit {
-		vs.nums[math.Float64bits(float64(v))] = struct{}{}
-		return
-	}
-	vs.ints[v] = struct{}{}
-}
-
-func (vs *ValueSet) addBool(v bool) {
-	if v {
-		vs.flags |= flagTrue
-	} else {
-		vs.flags |= flagFalse
-	}
-}
-
-// addString keys s as the value it is the exact rendering of, if any. A
-// string shaped like a number is parsed, and the parse confirmed by
-// rendering the parsed value back, so "1.0" or "1e6" stay strings.
-func (vs *ValueSet) addString(s string) {
-	switch {
-	case numberShaped(s):
-		var buf [32]byte
-		if v, err := strconv.ParseFloat(s, 64); err == nil && string(strconv.AppendFloat(buf[:0], v, 'g', -1, 64)) == s {
-			vs.addFloat(v)
-			return
-		}
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil && string(strconv.AppendInt(buf[:0], v, 10)) == s {
-			vs.addInt(v)
-			return
-		}
-	case s == "NaN":
-		vs.flags |= flagNaN
-		return
-	case s == "true":
-		vs.flags |= flagTrue
-		return
-	case s == "false":
-		vs.flags |= flagFalse
-		return
-	case s == nullValue:
-		vs.flags |= flagNull
-		return
-	}
-	vs.strs[s] = struct{}{}
 }
 
 // numberShaped reports whether s has the shape of a rendered int or float:

@@ -102,11 +102,9 @@ func valueSetEdgeFrames(t *testing.T) map[string]*frame.Frame {
 	}
 }
 
-// TestValueSetMatchesStringAtReference pins the typed value set to the
-// StringAt definition on edge cells and on generated pipeline outputs, and
-// its Jaccard to the reference Jaccard over every pair of them.
-func TestValueSetMatchesStringAtReference(t *testing.T) {
-	frames := valueSetEdgeFrames(t)
+// addGenFrames adds the sources and pipeline outputs of gen seeds 1-6.
+func addGenFrames(t *testing.T, frames map[string]*frame.Frame) {
+	t.Helper()
 	for seed := int64(1); seed <= 6; seed++ {
 		g := gen.New(seed)
 		sources := g.Sources(150)
@@ -119,6 +117,14 @@ func TestValueSetMatchesStringAtReference(t *testing.T) {
 			frames[fmt.Sprintf("gen seed %d output %d", seed, i)] = res.Main
 		}
 	}
+}
+
+// TestValueSetMatchesStringAtReference pins the typed value set to the
+// StringAt definition on edge cells and on generated pipeline outputs, and
+// its Jaccard to the reference Jaccard over every pair of them.
+func TestValueSetMatchesStringAtReference(t *testing.T) {
+	frames := valueSetEdgeFrames(t)
+	addGenFrames(t, frames)
 	for name, f := range frames {
 		checkValueSet(t, name, f)
 	}

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"lucidscript/internal/frame"
 	"lucidscript/internal/ml"
@@ -34,51 +36,37 @@ func TableJaccard(a, b *frame.Frame) (float64, error) {
 
 // RowJaccard returns |A ∩ B| / |A ∪ B| over the row multisets of the two
 // frames — a stricter alternative measure the framework also supports.
-// Rows compare by their canonical column-sorted rendering, so column
-// reordering does not reduce similarity.
+// Rows compare by frame.RowKeys, cell by cell in column-name order, so
+// column reordering does not reduce similarity; frames whose column names
+// differ share no row.
 func RowJaccard(a, b *frame.Frame) (float64, error) {
 	if a == nil || b == nil {
 		return 0, ErrNoOutput
 	}
-	ca := rowCounts(a)
-	cb := rowCounts(b)
-	inter, union := 0, 0
-	for k, na := range ca {
-		nb := cb[k]
-		inter += minInt(na, nb)
-		union += maxInt(na, nb)
-	}
-	for k, nb := range cb {
-		if _, seen := ca[k]; !seen {
-			union += nb
+	inter := 0
+	if slices.Equal(sortedNames(a), sortedNames(b)) {
+		counts := make(map[string]int, a.NumRows())
+		for _, k := range a.RowKeys() {
+			counts[k]++
+		}
+		for _, k := range b.RowKeys() {
+			if counts[k] > 0 {
+				counts[k]--
+				inter++
+			}
 		}
 	}
+	union := a.NumRows() + b.NumRows() - inter
 	if union == 0 {
 		return 1, nil
 	}
 	return float64(inter) / float64(union), nil
 }
 
-func rowCounts(f *frame.Frame) map[string]int {
-	counts := make(map[string]int, f.NumRows())
-	for _, key := range f.RowStrings() {
-		counts[key]++
-	}
-	return counts
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+func sortedNames(f *frame.Frame) []string {
+	names := f.ColumnNames()
+	sort.Strings(names)
+	return names
 }
 
 // ModelConfig configures the downstream model used by Δ_M.

@@ -85,6 +85,20 @@ func TestRowJaccardMultiset(t *testing.T) {
 	}
 }
 
+// TestRowJaccardSeparatorCollision compares a one-column row with a
+// two-column row that renders to the same tab-joined name=value string:
+// frames with different column names share no row.
+func TestRowJaccardSeparatorCollision(t *testing.T) {
+	a, err := frame.FromSeries(frame.NewStringSeries("a", []string{"1\tb=2"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := mustCSV(t, "a,b\n1,2\n")
+	if j, _ := RowJaccard(a, b); j != 0 {
+		t.Fatalf("row jaccard = %v, want 0", j)
+	}
+}
+
 func TestTableJaccardColumnOrderInsensitive(t *testing.T) {
 	a := mustCSV(t, "a,b\n1,2\n")
 	b := mustCSV(t, "b,a\n2,1\n")

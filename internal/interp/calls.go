@@ -587,25 +587,9 @@ func (e *Env) callDF(df *DF, name string, c *call) (Value, error) {
 	case "mode":
 		return statVal{stat: frame.FillMode}, nil
 	case "duplicated":
-		seen := map[string]bool{}
-		m := make(frame.Mask, df.F.NumRows())
-		for i, key := range df.F.RowStrings() {
-			if seen[key] {
-				m[i] = true
-			}
-			seen[key] = true
-		}
-		return m, nil
+		return df.F.Duplicated(), nil
 	case "drop_duplicates":
-		seen := map[string]bool{}
-		var pos []int
-		for i, key := range df.F.RowStrings() {
-			if !seen[key] {
-				pos = append(pos, i)
-			}
-			seen[key] = true
-		}
-		return df.take(pos)
+		return df.filter(df.F.Duplicated().NotInPlace())
 	default:
 		return nil, fmt.Errorf("DataFrame has no method %q", name)
 	}

@@ -26,9 +26,6 @@ func TestRunContextCanceled(t *testing.T) {
 	if _, err := RunContext(ctx, s, sources, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext after cancel: %v, want context.Canceled", err)
 	}
-	if err := CheckExecutesContext(ctx, s, sources, Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CheckExecutesContext after cancel: %v", err)
-	}
 	// Background context still runs fine.
 	if _, err := RunContext(context.Background(), s, sources, Options{}); err != nil {
 		t.Fatalf("RunContext background: %v", err)
@@ -52,8 +49,8 @@ func TestSessionCacheCanceledLeavesTrieConsistent(t *testing.T) {
 	if _, err := cache.RunContext(ctx, s); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled RunContext: %v", err)
 	}
-	if err := cache.CheckContext(ctx, s); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled CheckContext: %v", err)
+	if _, err := cache.NewView().RunContext(ctx, s); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled view RunContext: %v", err)
 	}
 
 	// The canceled runs must not have inserted failure nodes: a subsequent

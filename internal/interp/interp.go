@@ -177,20 +177,6 @@ func RunContext(ctx context.Context, s *script.Script, sources map[string]*frame
 	return env.result(), nil
 }
 
-// CheckExecutes reports whether the script runs without error
-// (the paper's execution constraint).
-func CheckExecutes(s *script.Script, sources map[string]*frame.Frame, opts Options) error {
-	_, err := Run(s, sources, opts)
-	return err
-}
-
-// CheckExecutesContext is CheckExecutes with statement-granularity
-// cancellation.
-func CheckExecutesContext(ctx context.Context, s *script.Script, sources map[string]*frame.Frame, opts Options) error {
-	_, err := RunContext(ctx, s, sources, opts)
-	return err
-}
-
 // Get returns the final value of a variable.
 func (e *Env) Get(name string) (Value, bool) {
 	v, ok := e.vars[name]

@@ -42,7 +42,6 @@ func (c CacheStats) EstSavedTime() time.Duration {
 // Both are safe for concurrent use.
 type Session interface {
 	RunContext(ctx context.Context, s *script.Script) (*Result, error)
-	CheckContext(ctx context.Context, s *script.Script) error
 	Stats() CacheStats
 }
 
@@ -149,19 +148,6 @@ func (c *SessionCache) runContext(ctx context.Context, s *script.Script, view *C
 	env := node.env.fork()
 	c.mu.Unlock()
 	return env.result(), nil
-}
-
-// Check reports whether the script runs without error (the execution
-// constraint), through the cache.
-func (c *SessionCache) Check(s *script.Script) error {
-	_, err := c.Run(s)
-	return err
-}
-
-// CheckContext is Check with statement-granularity cancellation.
-func (c *SessionCache) CheckContext(ctx context.Context, s *script.Script) error {
-	_, err := c.RunContext(ctx, s)
-	return err
 }
 
 // Stats returns a snapshot of the counters.
@@ -272,13 +258,6 @@ func (v *CacheView) add(d CacheStats) {
 // per-statement traffic to this view.
 func (v *CacheView) RunContext(ctx context.Context, s *script.Script) (*Result, error) {
 	return v.c.runContext(ctx, s, v)
-}
-
-// CheckContext reports whether the script runs without error, through the
-// shared cache, attributing traffic to this view.
-func (v *CacheView) CheckContext(ctx context.Context, s *script.Script) error {
-	_, err := v.c.runContext(ctx, s, v)
-	return err
 }
 
 // Stats returns a snapshot of this view's traffic counters.

@@ -55,7 +55,7 @@ func TestInjectedScriptsExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := interp.CheckExecutes(inj.Script, gen.Sources, interp.Options{Seed: 1}); err != nil {
+		if _, err := interp.Run(inj.Script, gen.Sources, interp.Options{Seed: 1}); err != nil {
 			t.Fatalf("%v: injected script does not execute: %v\n%s", k, err, inj.Script.Source())
 		}
 	}
