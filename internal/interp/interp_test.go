@@ -457,13 +457,7 @@ func TestExecutionErrors(t *testing.T) {
 	mustFail(t, "x = unknown_module.f()", srcs, "not defined")
 }
 
-// TestErrorMentionsLine runs a good script and its one-line-longer bad
-// twin: the good one executes, the bad one fails naming its line.
 func TestErrorMentionsLine(t *testing.T) {
-	good := script.MustParse("import pandas as pd\ndf = pd.read_csv(\"train.csv\")\n")
-	if _, err := Run(good, titanicSources(t), Options{}); err != nil {
-		t.Fatal(err)
-	}
 	s := script.MustParse(`import pandas as pd
 df = pd.read_csv("train.csv")
 x = df["Nope"]
@@ -471,6 +465,19 @@ x = df["Nope"]
 	_, err := Run(s, titanicSources(t), Options{})
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("error should name line 3: %v", err)
+	}
+}
+
+// TestCheckExecutes is the execution check the search makes before it
+// keeps a script: the good script runs, its bad twin fails.
+func TestCheckExecutes(t *testing.T) {
+	good := script.MustParse("import pandas as pd\ndf = pd.read_csv(\"train.csv\")\n")
+	if _, err := Run(good, titanicSources(t), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	bad := script.MustParse("import pandas as pd\ndf = pd.read_csv(\"train.csv\")\nx = df[\"Nope\"]\n")
+	if _, err := Run(bad, titanicSources(t), Options{}); err == nil {
+		t.Fatal("bad script should fail")
 	}
 }
 
