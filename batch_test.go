@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"lucidscript/internal/gen"
+	"lucidscript/internal/obs"
 )
 
 func TestStandardizeBatchFacade(t *testing.T) {
-	sys := newTestSystem(t, Options{Tau: 0.5, SeqLength: 8, BatchWorkers: 4})
+	metrics := NewMetrics()
+	sys := newTestSystem(t, Options{Tau: 0.5, SeqLength: 8, BatchWorkers: 4, Metrics: metrics})
 	var jobs []*Script
 	for _, src := range []string{
 		`import pandas as pd
@@ -35,6 +37,15 @@ df = pd.get_dummies(df)
 	}
 	if len(res) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(res), len(jobs))
+	}
+	// A batch runs on a job queue, so it moves the queue's ledger.
+	for name, want := range map[string]int64{
+		obs.MJobsSubmitted: int64(len(jobs)), obs.MJobsCompleted: int64(len(jobs)),
+		obs.MJobsFailed: 0, obs.MQueueDepth: 0,
+	} {
+		if got := metrics.Value(name); got != want {
+			t.Errorf("%s = %d after a batch of %d, want %d", name, got, len(jobs), want)
+		}
 	}
 	for i, r := range res {
 		seq, err := sys.Standardize(jobs[i])

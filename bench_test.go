@@ -216,46 +216,6 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 	}
 }
 
-// benchStandardizeTitanic runs the seed Titanic workload end to end with
-// the execution-prefix cache (core.Config.ExecCache) on or off; the pair
-// quantifies the cache's speedup (see DESIGN.md "Execution caching" for
-// recorded numbers).
-func benchStandardizeTitanic(b *testing.B, cache bool) {
-	c, err := corpusgen.Get("Titanic")
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Enough rows that interpreter execution (not search bookkeeping)
-	// dominates, as in real workloads.
-	gen, err := c.Generate(corpusgen.GenOptions{Seed: 3, MinRows: 4000, NumScripts: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	scripts := gen.ScriptsOnly()
-	input := scripts[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A fresh Standardizer per iteration so each run starts with a cold
-		// cache (the cache lives for one StandardizeGrid call anyway).
-		cfg := core.DefaultConfig()
-		cfg.SeqLength = 8
-		cfg.Constraint.Tau = 0.5
-		cfg.ExecCache = cache
-		res, err := core.New(scripts[1:], gen.Sources, cfg).Standardize(input)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cache && res.CacheStats.StmtsSkipped == 0 {
-			b.Fatal("exec cache reported no skipped statements")
-		}
-	}
-}
-
-func BenchmarkStandardizeExecCacheOn(b *testing.B) { benchStandardizeTitanic(b, true) }
-
-func BenchmarkStandardizeExecCacheOff(b *testing.B) { benchStandardizeTitanic(b, false) }
-
 // batchBenchJobs builds the shared fixture for the batch benchmarks: a
 // Titanic corpus plus a set of jobs sampled from it.
 func batchBenchJobs(b *testing.B) (*corpusgen.Generated, []*Script) {

@@ -83,8 +83,7 @@ func BatchRecords(opts Options) ([]Record, *Table, error) {
 			runtime.GC()
 			batchStart := time.Now()
 			std := core.New(corpus, gen.Sources, cfg)
-			eng := core.NewEngine(std, workers, 0)
-			results, errs := eng.StandardizeBatch(context.Background(), jobs)
+			results, errs := std.StandardizeBatch(context.Background(), workers, 0, jobs)
 			if d := time.Since(batchStart); r == 0 || d < batchDur {
 				batchDur = d
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,19 +30,20 @@ df = pd.get_dummies(df)
 	return jobs
 }
 
-func TestNewEngineResolvesWorkers(t *testing.T) {
+func TestNewQueueResolvesWorkers(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
-	if got := NewEngine(st, 0, 0).Workers(); got < 1 {
-		t.Fatalf("Workers() = %d with workers=0, want >= 1", got)
-	}
-	if got := NewEngine(st, 3, 0).Workers(); got != 3 {
-		t.Fatalf("Workers() = %d, want 3", got)
+	for _, tc := range []struct{ workers, want int }{{0, runtime.GOMAXPROCS(0)}, {3, 3}} {
+		q := st.NewQueue(tc.workers, 0, 1)
+		if got := q.Stats().Workers; got != tc.want {
+			t.Errorf("Stats().Workers = %d with workers=%d, want %d", got, tc.workers, tc.want)
+		}
+		q.Close()
 	}
 }
 
 func TestStandardizeBatchEmpty(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
-	res, errs := NewEngine(st, 2, 0).StandardizeBatch(context.Background(), nil)
+	res, errs := st.StandardizeBatch(context.Background(), 2, 0, nil)
 	if len(res) != 0 || len(errs) != 0 {
 		t.Fatalf("empty batch returned %d results, %d errors", len(res), len(errs))
 	}
@@ -64,7 +66,7 @@ func TestStandardizeBatchMatchesSequential(t *testing.T) {
 		want[i] = res
 	}
 
-	got, errs := NewEngine(st, 4, 0).StandardizeBatch(context.Background(), jobs)
+	got, errs := st.StandardizeBatch(context.Background(), 4, 0, jobs)
 	if len(got) != len(jobs) || len(errs) != len(jobs) {
 		t.Fatalf("batch returned %d results, %d errors for %d jobs", len(got), len(errs), len(jobs))
 	}
@@ -96,7 +98,7 @@ func TestStandardizeBatchMatchesSequential(t *testing.T) {
 func TestStandardizeBatchSharesCache(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	jobs := batchJobs(t, 4)
-	res, errs := NewEngine(st, 2, 0).StandardizeBatch(context.Background(), jobs)
+	res, errs := st.StandardizeBatch(context.Background(), 2, 0, jobs)
 	var totalHits, totalExec int64
 	for i := range jobs {
 		if errs[i] != nil {
@@ -127,7 +129,7 @@ func TestStandardizeBatchPanicIsolation(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	jobs := batchJobs(t, 3)
 	jobs[1] = nil // panics inside the job goroutine
-	res, errs := NewEngine(st, 2, 0).StandardizeBatch(context.Background(), jobs)
+	res, errs := st.StandardizeBatch(context.Background(), 2, 0, jobs)
 	if errs[1] == nil || !errors.Is(errs[1], ErrJobPanicked) {
 		t.Fatalf("job 1 error = %v, want ErrJobPanicked", errs[1])
 	}
@@ -150,7 +152,7 @@ func TestStandardizeBatchPanicIsolation(t *testing.T) {
 func TestStandardizeBatchPerJobTimeout(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	jobs := batchJobs(t, 3)
-	_, errs := NewEngine(st, 2, time.Nanosecond).StandardizeBatch(context.Background(), jobs)
+	_, errs := st.StandardizeBatch(context.Background(), 2, time.Nanosecond, jobs)
 	for i, err := range errs {
 		if !errors.Is(err, ErrDeadlineExceeded) {
 			t.Errorf("job %d error = %v, want ErrDeadlineExceeded", i, err)
@@ -162,7 +164,7 @@ func TestStandardizeBatchCanceledContext(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, errs := NewEngine(st, 2, 0).StandardizeBatch(ctx, batchJobs(t, 3))
+	_, errs := st.StandardizeBatch(ctx, 2, 0, batchJobs(t, 3))
 	for i, err := range errs {
 		if !errors.Is(err, ErrCanceled) {
 			t.Errorf("job %d error = %v, want ErrCanceled", i, err)
@@ -179,7 +181,7 @@ func TestStandardizeBatchTraceAttribution(t *testing.T) {
 	cfg.Tracer = tr
 	st := newStandardizer(t, cfg)
 	jobs := batchJobs(t, 3)
-	_, errs := NewEngine(st, 2, 0).StandardizeBatch(context.Background(), jobs)
+	_, errs := st.StandardizeBatch(context.Background(), 2, 0, jobs)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
@@ -198,30 +200,5 @@ func TestStandardizeBatchTraceAttribution(t *testing.T) {
 		if !seen[j] {
 			t.Errorf("no search_done event attributed to job %d", j)
 		}
-	}
-}
-
-// TestStandardizeBatchCacheDisabled covers the ExecCache=false path, where
-// jobs run sessionless but must still produce sequential-identical output.
-func TestStandardizeBatchCacheDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ExecCache = false
-	st := newStandardizer(t, cfg)
-	jobs := batchJobs(t, 2)
-	seq, err := st.Standardize(jobs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, errs := NewEngine(st, 2, 0).StandardizeBatch(context.Background(), jobs)
-	for i := range jobs {
-		if errs[i] != nil {
-			t.Fatalf("job %d: %v", i, errs[i])
-		}
-		if cs := res[i].CacheStats; cs.Hits+cs.Misses != 0 {
-			t.Errorf("job %d reports cache traffic %+v with ExecCache off", i, cs)
-		}
-	}
-	if g, w := res[0].Script.Source(), seq.Script.Source(); g != w {
-		t.Errorf("cacheless batch output diverges from sequential:\n%s\nvs\n%s", g, w)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"lucidscript/internal/interp"
 )
 
-// TestChaosBatch32 is the batch-engine chaos run: 32 jobs share one curated
+// TestChaosBatch32 is the batch chaos run: 32 jobs share one curated
 // corpus and one execution-prefix trie while a seeded injector faults a
 // subset of them — job-level panics and errors at the batch site, plus
 // statement-level panics and budget exhaustions at the cache site keyed on
@@ -32,8 +32,7 @@ func TestChaosBatch32(t *testing.T) {
 	stClean := newStandardizer(t, cfg)
 	jobs := batchJobs(t, nJobs)
 
-	cleanRes, cleanErrs := NewEngine(stClean, 8, 0).standardizeBatchSession(
-		context.Background(), stClean.newSessionScaled(nJobs), jobs)
+	cleanRes, cleanErrs := stClean.StandardizeBatch(context.Background(), 8, 0, jobs)
 	for i, err := range cleanErrs {
 		if err != nil {
 			t.Fatalf("fault-free job %d: %v", i, err)
@@ -52,8 +51,8 @@ func TestChaosBatch32(t *testing.T) {
 		faults.Rule{Site: faults.SiteCacheStep, Key: fmt.Sprintf(ageFilterFmt, 25+15), Kind: faults.KindPanic, Prob: 1},
 	)
 	stFaulted := FromCorpus(stClean.Corpus, fcfg)
-	shared := stFaulted.newSessionScaled(nJobs)
-	res, errs := NewEngine(stFaulted, 8, 0).standardizeBatchSession(context.Background(), shared, jobs)
+	shared := stFaulted.newSession(nJobs)
+	res, errs := stFaulted.newQueue(8, 0, nJobs, shared).batch(context.Background(), jobs)
 
 	wantFaulted := map[int]bool{2: true, 5: true, 15: true, 24: true}
 	for i := range jobs {

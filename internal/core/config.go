@@ -45,10 +45,6 @@ type Config struct {
 	DisableLookahead bool
 	// Seed drives sampling and any stochastic tie-breaking.
 	Seed int64
-	// ExecCache enables the prefix-memoized execution cache: candidate
-	// scripts share the interpreter work of every previously executed
-	// statement prefix. Results are identical with the cache on or off.
-	ExecCache bool
 	// Limits is the per-candidate resource governor applied to every
 	// interpreter run (early checks, verification, batch jobs). A candidate
 	// that trips a budget is quarantined — dropped and tallied in
@@ -56,7 +52,7 @@ type Config struct {
 	// governor.
 	Limits *interp.Limits
 	// Faults is the deterministic chaos-injection hook threaded into the
-	// interpreter, exec cache, curation, and batch engine. Nil (the
+	// interpreter, exec cache, curation, and job queue. Nil (the
 	// production default) reduces every injection site to a pointer check.
 	Faults *faults.Injector
 	// Constraint is the user-intent constraint (τ and measure).
@@ -82,7 +78,6 @@ func DefaultConfig() Config {
 		StepLimit:  64,
 		MaxRows:    50000,
 		Seed:       1,
-		ExecCache:  true,
 		Constraint: intent.Constraint{Measure: intent.MeasureJaccard, Tau: 0.9},
 	}
 }

@@ -20,7 +20,7 @@ import (
 // the atom/edge vocabularies and corpus distribution Q(x), the input
 // datasets, and the MaxRows-sampled execution sources. One CuratedCorpus
 // serves every standardization against the same corpus — the single-shot
-// path, threshold sweeps, and the batch engine all share it, so a batch of
+// path, threshold sweeps, and every job queue share it, so a batch of
 // N jobs pays for curation exactly once. All fields are read-only after
 // Curate (the sample memo is mutex-guarded), making the value safe for
 // concurrent use.

@@ -227,10 +227,8 @@ df = pd.get_dummies(df)
 				armed[i] = r
 			}
 			st.Config.Faults = faults.New(9, armed...)
-			sess := st.newSession()
-			if sess == nil {
-				t.Fatal("exec cache off; the test needs the cache site armed")
-			}
+			cache := st.newSession(1)
+			sess := cache.NewView()
 
 			ctx := context.Background()
 			origRun, err := st.runScript(ctx, sess, dag.ToScript(gOrig.Lines))
@@ -274,7 +272,7 @@ df = pd.get_dummies(df)
 					t.Errorf("Verify health = %+v, want 1 panic", res.Health.Verify)
 				}
 			}
-			if err := sess.CheckInvariants(); err != nil {
+			if err := cache.CheckInvariants(); err != nil {
 				t.Errorf("injected %s fault poisoned the trie: %v", tc.name, err)
 			}
 		})

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"lucidscript/internal/corpusgen"
 	"lucidscript/internal/intent"
+	"lucidscript/internal/script"
 )
 
 // titanicWorkload builds the seed Titanic standardization workload from the
@@ -25,6 +27,15 @@ func titanicWorkload(t testing.TB) (*Standardizer, func(Config) *Standardizer, *
 	return build(DefaultConfig()), build, gen
 }
 
+// standardizeUncached is Standardize on the uncached reference path:
+// every candidate runs through a plain interp.RunContext.
+func standardizeUncached(st *Standardizer, su *script.Script) (*Result, error) {
+	ctx := context.Background()
+	grid, err := st.standardizeGridSession(ctx, nil, su,
+		[]int{st.Config.SeqLength}, []intent.Constraint{st.Config.Constraint})
+	return st.jobResult(ctx, grid, err)
+}
+
 // TestExecCacheEquivalence: with the prefix cache on vs. off the output
 // script is byte-identical — and the cache cuts interpreter statement
 // executions by at least 2× on the Titanic workload.
@@ -34,16 +45,11 @@ func TestExecCacheEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SeqLength = 8
 
-	on := cfg
-	on.ExecCache = true
-	off := cfg
-	off.ExecCache = false
-
-	resOn, err := build(on).Standardize(input)
+	resOn, err := build(cfg).Standardize(input)
 	if err != nil {
 		t.Fatalf("cache on: %v", err)
 	}
-	resOff, err := build(off).Standardize(input)
+	resOff, err := standardizeUncached(build(cfg), input)
 	if err != nil {
 		t.Fatalf("cache off: %v", err)
 	}
@@ -67,6 +73,50 @@ func TestExecCacheEquivalence(t *testing.T) {
 		t.Fatalf("cache-off run reported cache stats %+v", off)
 	}
 }
+
+// benchStandardizeTitanic runs the seed Titanic workload end to end with
+// the execution-prefix cache on or off (the uncached reference path); the
+// pair quantifies the cache's speedup (see DESIGN.md "Execution caching"
+// for recorded numbers).
+func benchStandardizeTitanic(b *testing.B, cache bool) {
+	c, err := corpusgen.Get("Titanic")
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Enough rows that interpreter execution (not search bookkeeping)
+	// dominates, as in real workloads.
+	gen, err := c.Generate(corpusgen.GenOptions{Seed: 3, MinRows: 4000, NumScripts: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	scripts := gen.ScriptsOnly()
+	input := scripts[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A fresh Standardizer per iteration so each run starts with a cold
+		// cache (the cache lives for one StandardizeGrid call anyway).
+		cfg := DefaultConfig()
+		cfg.SeqLength = 8
+		cfg.Constraint.Tau = 0.5
+		st := New(scripts[1:], gen.Sources, cfg)
+		standardize := st.Standardize
+		if !cache {
+			standardize = func(su *script.Script) (*Result, error) { return standardizeUncached(st, su) }
+		}
+		res, err := standardize(input)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cache && res.CacheStats.StmtsSkipped == 0 {
+			b.Fatal("exec cache reported no skipped statements")
+		}
+	}
+}
+
+func BenchmarkStandardizeExecCacheOn(b *testing.B) { benchStandardizeTitanic(b, true) }
+
+func BenchmarkStandardizeExecCacheOff(b *testing.B) { benchStandardizeTitanic(b, false) }
 
 // TestModelKeyCollisionFree: the old encoding dropped Protected entirely and
 // didn't guard separators inside string fields, so distinct model configs

@@ -56,7 +56,7 @@ func (o *obsState) emit(e obs.Event) {
 // emitCacheDelta reports execution-prefix cache traffic accumulated since
 // the previous report as one aggregated event (per-statement hit/miss
 // events would dominate the stream). Main-loop only — not goroutine-safe.
-func (o *obsState) emitCacheDelta(sess interp.Session, step int) {
+func (o *obsState) emitCacheDelta(sess *interp.CacheView, step int) {
 	if o.tr == nil || sess == nil {
 		return
 	}

@@ -203,7 +203,7 @@ func TestCarriedOutputHash(t *testing.T) {
 	})
 
 	t.Run("batch", func(t *testing.T) {
-		// One engine per corpus, its jobs sharing one session cache across
+		// One batch per corpus, its jobs sharing one session cache across
 		// three workers, on full and on sampled sources.
 		for _, maxRows := range []int{0, 50} {
 			byStd := map[*Standardizer][]*script.Script{}
@@ -215,7 +215,7 @@ func TestCarriedOutputHash(t *testing.T) {
 				byStd[j.st] = append(byStd[j.st], j.su, j.su)
 			}
 			for _, st := range order {
-				results, errs := NewEngine(st, 3, 0).StandardizeBatch(context.Background(), byStd[st])
+				results, errs := st.StandardizeBatch(context.Background(), 3, 0, byStd[st])
 				for i, res := range results {
 					if errs[i] != nil {
 						t.Fatalf("MaxRows %d job %d: %v", maxRows, i, errs[i])

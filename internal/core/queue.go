@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"lucidscript/internal/interp"
 	"lucidscript/internal/obs"
@@ -54,7 +55,7 @@ type QueuedJob struct {
 	cancel  context.CancelFunc
 	done    chan struct{}
 	state   atomic.Int32
-	observe func(JobState)
+	running func()
 	res     *Result
 	err     error
 }
@@ -114,9 +115,6 @@ func (j *QueuedJob) finish(res *Result, err error) {
 	close(j.done)
 	j.state.Store(int32(JobDone))
 	j.cancel()
-	if j.observe != nil {
-		j.observe(JobDone)
-	}
 }
 
 // QueueStats is a point-in-time snapshot of a Queue's admission state.
@@ -134,23 +132,25 @@ type QueueStats struct {
 	Submitted, Rejected, Completed, Failed int64
 }
 
-// Queue is a long-lived, admission-controlled job queue over an Engine's
-// worker pool — the serving counterpart of the one-shot StandardizeBatch.
-// All jobs share the engine's curated corpus and one execution-prefix
-// session cache, so a service keeps paying curation exactly once while
-// requests arrive over hours, and concurrent jobs reuse each other's
-// executed statement prefixes exactly as a batch does.
+// Queue is the one standardization worker pool: an admission-controlled
+// job queue over a Standardizer's curated corpus. A service feeds one for
+// hours, and StandardizeBatch runs each batch on a fresh one. All jobs
+// share the curated corpus and one execution-prefix session cache, so a
+// service keeps paying curation exactly once while requests arrive, and
+// concurrent jobs reuse each other's executed statement prefixes.
 //
 // Submit never blocks: a job either enters the bounded buffer or is
 // rejected with ErrQueueFull, which is what lets an HTTP front end shed
 // load with 429s instead of stacking goroutines. Close drains gracefully —
 // in-flight jobs finish, still-buffered jobs fail with ErrQueueClosed.
 type Queue struct {
-	eng    *Engine
-	shared *interp.SessionCache
-	jobs   chan *QueuedJob
-	closed chan struct{}
-	wg     sync.WaitGroup
+	std        *Standardizer
+	workers    int
+	jobTimeout time.Duration
+	shared     *interp.SessionCache
+	jobs       chan *QueuedJob
+	closed     chan struct{}
+	wg         sync.WaitGroup
 
 	mu       sync.Mutex
 	isClosed bool
@@ -160,23 +160,31 @@ type Queue struct {
 	depth, running              atomic.Int64
 }
 
-// NewQueue builds a running queue over the engine: its workers start
-// immediately and consume jobs until Close. depth bounds how many admitted
-// jobs may wait for a worker (0 means no buffer — a job is only admitted
-// when a worker is free to take it promptly; admission still never blocks).
-func (e *Engine) NewQueue(depth int) *Queue {
-	if depth < 0 {
-		depth = 0
-	}
+// NewQueue builds a running queue over the standardizer's curated corpus:
+// its workers (<= 0 resolves to GOMAXPROCS) start immediately and consume
+// jobs until Close. jobTimeout, when positive, bounds each job individually
+// — an expired job returns ErrDeadlineExceeded with a partial result while
+// the others keep running. depth bounds how many admitted jobs may wait for
+// a worker (0 means no buffer — a job is only admitted when a worker is
+// free to take it promptly; admission still never blocks).
+func (st *Standardizer) NewQueue(workers int, jobTimeout time.Duration, depth int) *Queue {
+	workers = poolSize(workers)
+	// The shared cache is scaled for the pool's concurrency, exactly like
+	// a batch of that many jobs.
+	return st.newQueue(workers, jobTimeout, depth, st.newSession(workers))
+}
+
+// newQueue starts a queue of workers whose jobs share the caller's trie.
+func (st *Standardizer) newQueue(workers int, jobTimeout time.Duration, depth int, shared *interp.SessionCache) *Queue {
 	q := &Queue{
-		eng: e,
-		// The shared cache is scaled for the pool's concurrency, exactly
-		// like a batch of that many jobs.
-		shared: e.std.newSessionScaled(e.workers),
-		jobs:   make(chan *QueuedJob, depth),
-		closed: make(chan struct{}),
+		std:        st,
+		workers:    workers,
+		jobTimeout: jobTimeout,
+		shared:     shared,
+		jobs:       make(chan *QueuedJob, max(depth, 0)),
+		closed:     make(chan struct{}),
 	}
-	for i := 0; i < e.workers; i++ {
+	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
 		go q.worker()
 	}
@@ -192,21 +200,20 @@ func (q *Queue) Submit(ctx context.Context, su *script.Script) (*QueuedJob, erro
 	return q.SubmitObserved(ctx, su, nil)
 }
 
-// SubmitObserved is Submit with a state-transition hook: observe is called
-// with JobRunning when a worker picks the job up and with JobDone when it
-// finishes (after the outcome is recorded and Done is closed). It is the
-// durability hook — a persistent front end appends each transition to its
-// write-ahead log from here. observe runs on the worker goroutine, so it
-// must be fast and must not call back into the queue; it is never called
-// for a rejected submission.
-func (q *Queue) SubmitObserved(ctx context.Context, su *script.Script, observe func(JobState)) (*QueuedJob, error) {
+// SubmitObserved is Submit with a hook called once when a worker picks the
+// job up, before it runs. It is the durability hook — a persistent front
+// end appends the running transition to its write-ahead log from here.
+// running runs on the worker goroutine, so it must be fast and must not
+// call back into the queue; it is never called for a rejected submission,
+// nor for a job that Close drains or that is canceled before it starts.
+func (q *Queue) SubmitObserved(ctx context.Context, su *script.Script, running func()) (*QueuedJob, error) {
 	jctx, cancel := context.WithCancel(ctx)
 	j := &QueuedJob{
 		script:  su,
 		ctx:     jctx,
 		cancel:  cancel,
 		done:    make(chan struct{}),
-		observe: observe,
+		running: running,
 	}
 	// Admission is under the mutex so a Submit can never slip a job into
 	// the buffer after Close's drain pass: Close flips isClosed under the
@@ -299,7 +306,7 @@ func (q *Queue) Stats() QueueStats {
 	return QueueStats{
 		Depth:     int(q.depth.Load()),
 		Capacity:  cap(q.jobs),
-		Workers:   q.eng.workers,
+		Workers:   q.workers,
 		Running:   int(q.running.Load()),
 		Submitted: q.seq.Load(),
 		Rejected:  q.rejected.Load(),
@@ -341,9 +348,9 @@ func (q *Queue) worker() {
 	}
 }
 
-// run executes one job on the engine, reusing the batch path's per-job
-// deadline, panic isolation, fault-injection site, and trace attribution
-// (the job's queue id is its batch index).
+// run executes one job with runJob's per-job deadline, panic isolation,
+// fault-injection site, and trace attribution (the job's queue id is its
+// batch index).
 func (q *Queue) run(j *QueuedJob) {
 	if err := j.ctx.Err(); err != nil {
 		cause := ctxCause(j.ctx)
@@ -352,11 +359,11 @@ func (q *Queue) run(j *QueuedJob) {
 		return
 	}
 	j.state.Store(int32(JobRunning))
-	if j.observe != nil {
-		j.observe(JobRunning)
+	if j.running != nil {
+		j.running()
 	}
 	q.running.Add(1)
-	res, err := q.eng.runJob(j.ctx, q.shared, int(j.id), j.script)
+	res, err := q.runJob(j.ctx, int(j.id), j.script)
 	q.running.Add(-1)
 	q.recordOutcome(err)
 	j.finish(res, err)
@@ -372,9 +379,9 @@ func (q *Queue) recordOutcome(err error) {
 	}
 }
 
-// metricAdd updates the engine's metrics registry when one is configured.
+// metricAdd updates the metrics registry when one is configured.
 func (q *Queue) metricAdd(name string, delta int64) {
-	if m := q.eng.std.Config.Metrics; m != nil {
+	if m := q.std.Config.Metrics; m != nil {
 		m.Counter(name).Add(delta)
 	}
 }

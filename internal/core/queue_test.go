@@ -18,7 +18,7 @@ import (
 func TestQueueMatchesSequential(t *testing.T) {
 	cfg := DefaultConfig()
 	st := newStandardizer(t, cfg)
-	q := NewEngine(st, 2, 0).NewQueue(8)
+	q := st.NewQueue(2, 0, 8)
 	defer q.Close()
 
 	jobs := batchJobs(t, 4)
@@ -72,7 +72,7 @@ func TestQueueFullRejects(t *testing.T) {
 	})
 	cfg.Metrics = obs.NewMetrics()
 	st := newStandardizer(t, cfg)
-	q := NewEngine(st, 1, 0).NewQueue(1)
+	q := st.NewQueue(1, 0, 1)
 	defer q.Close()
 
 	jobs := batchJobs(t, 3)
@@ -107,7 +107,7 @@ func TestQueueCloseDrains(t *testing.T) {
 		Site: faults.SiteBatchJob, Kind: faults.KindDelay, Prob: 1, Delay: 150 * time.Millisecond,
 	})
 	st := newStandardizer(t, cfg)
-	q := NewEngine(st, 1, 0).NewQueue(2)
+	q := st.NewQueue(1, 0, 2)
 
 	jobs := batchJobs(t, 2)
 	inflight, err := q.Submit(context.Background(), jobs[0])
@@ -145,7 +145,7 @@ func TestQueueCancelQueuedJob(t *testing.T) {
 		Site: faults.SiteBatchJob, Kind: faults.KindDelay, Prob: 1, Delay: 150 * time.Millisecond,
 	})
 	st := newStandardizer(t, cfg)
-	q := NewEngine(st, 1, 0).NewQueue(2)
+	q := st.NewQueue(1, 0, 2)
 	defer q.Close()
 
 	jobs := batchJobs(t, 2)
@@ -178,7 +178,7 @@ func TestQueueWaitAbandonment(t *testing.T) {
 		Site: faults.SiteBatchJob, Kind: faults.KindDelay, Prob: 1, Delay: 100 * time.Millisecond,
 	})
 	st := newStandardizer(t, cfg)
-	q := NewEngine(st, 1, 0).NewQueue(2)
+	q := st.NewQueue(1, 0, 2)
 	defer q.Close()
 
 	h, err := q.Submit(context.Background(), batchJobs(t, 1)[0])
@@ -201,7 +201,7 @@ func TestQueueWaitAbandonment(t *testing.T) {
 func TestQueueConcurrentSubmitClose(t *testing.T) {
 	cfg := DefaultConfig()
 	st := newStandardizer(t, cfg)
-	q := NewEngine(st, 2, 0).NewQueue(4)
+	q := st.NewQueue(2, 0, 4)
 
 	jobs := batchJobs(t, 1)
 	var wg sync.WaitGroup
@@ -255,7 +255,7 @@ func TestQueueFaultInjection(t *testing.T) {
 		Site: faults.SiteBatchJob, Key: "1", Kind: faults.KindError, Prob: 1,
 	})
 	st := newStandardizer(t, cfg)
-	q := NewEngine(st, 2, 0).NewQueue(4)
+	q := st.NewQueue(2, 0, 4)
 	defer q.Close()
 
 	jobs := batchJobs(t, 3)
@@ -294,7 +294,7 @@ func TestQueueResultBeforeDoneBlocks(t *testing.T) {
 		Site: faults.SiteBatchJob, Kind: faults.KindDelay, Prob: 1, Delay: 100 * time.Millisecond,
 	})
 	st := newStandardizer(t, cfg)
-	q := NewEngine(st, 1, 0).NewQueue(1)
+	q := st.NewQueue(1, 0, 1)
 	defer q.Close()
 
 	h, err := q.Submit(context.Background(), batchJobs(t, 1)[0])
@@ -322,9 +322,9 @@ func TestJobStateString(t *testing.T) {
 	}
 }
 
-// TestQueueSubmitObserved pins the state-transition hook: a run job sees
-// JobRunning then JobDone in order (JobDone after the outcome is readable),
-// a drained job sees only JobDone, and the Running stat rises while a
+// TestQueueSubmitObserved pins the running hook: a run job fires it once,
+// when a worker picks the job up and before its outcome is readable, a job
+// drained by Close never fires it, and the Running stat rises while a
 // worker holds a job.
 func TestQueueSubmitObserved(t *testing.T) {
 	cfg := DefaultConfig()
@@ -332,33 +332,27 @@ func TestQueueSubmitObserved(t *testing.T) {
 		Site: faults.SiteBatchJob, Kind: faults.KindDelay, Prob: 1, Delay: 150 * time.Millisecond,
 	})
 	st := newStandardizer(t, cfg)
-	q := NewEngine(st, 1, 0).NewQueue(1)
+	q := st.NewQueue(1, 0, 1)
 
-	var mu sync.Mutex
-	var seen []JobState
-	var hptr atomic.Pointer[QueuedJob]
+	var fired atomic.Int32
+	handle := make(chan *QueuedJob, 1)
 	running := make(chan struct{})
-	var runningOnce sync.Once
-	h, err := q.SubmitObserved(context.Background(), batchJobs(t, 1)[0], func(s JobState) {
-		mu.Lock()
-		seen = append(seen, s)
-		mu.Unlock()
-		if s == JobRunning {
-			runningOnce.Do(func() { close(running) })
+	h, err := q.SubmitObserved(context.Background(), batchJobs(t, 1)[0], func() {
+		if fired.Add(1) != 1 {
+			return
 		}
-		if s == JobDone {
-			// The outcome must already be readable when JobDone fires.
-			if j := hptr.Load(); j != nil {
-				if res, err := j.Result(); res == nil && err == nil {
-					t.Error("JobDone observed before the outcome was recorded")
-				}
-			}
+		// The hook precedes the outcome: Done is still open.
+		select {
+		case <-(<-handle).Done():
+			t.Error("running hook fired after the outcome was recorded")
+		default:
 		}
+		close(running)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hptr.Store(h)
+	handle <- h
 	<-running
 	if got := q.Stats().Running; got != 1 {
 		t.Errorf("Stats().Running while job held = %d, want 1", got)
@@ -366,59 +360,33 @@ func TestQueueSubmitObserved(t *testing.T) {
 	if _, err := h.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// JobDone fires from finish() on the worker; Wait returning guarantees
-	// done is closed, and finish calls observe after recording — but give
-	// the observer call itself a moment under -race schedulers.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		got := append([]JobState(nil), seen...)
-		mu.Unlock()
-		if len(got) == 2 {
-			if got[0] != JobRunning || got[1] != JobDone {
-				t.Fatalf("transitions = %v, want [running done]", got)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("transitions = %v, want [running done]", got)
-		}
-		time.Sleep(time.Millisecond)
+	if got := fired.Load(); got != 1 {
+		t.Fatalf("running hook fired %d times, want 1", got)
 	}
 	if got := q.Stats().Running; got != 0 {
 		t.Errorf("Stats().Running after completion = %d, want 0", got)
 	}
 
-	// A job drained by Close never runs: only JobDone is observed.
-	blocker, err := q.Submit(context.Background(), batchJobs(t, 1)[0])
+	// A job drained by Close never runs, so its hook never fires. The
+	// blocker holds the only worker (every job is delayed 150ms), so the
+	// second job is still buffered when Close begins.
+	blockerRunning := make(chan struct{})
+	blocker, err := q.SubmitObserved(context.Background(), batchJobs(t, 1)[0], func() { close(blockerRunning) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	var drained []JobState
-	var dmu sync.Mutex
-	queued, err := q.SubmitObserved(context.Background(), batchJobs(t, 1)[0], func(s JobState) {
-		dmu.Lock()
-		drained = append(drained, s)
-		dmu.Unlock()
-	})
+	<-blockerRunning
+	var drainedFired atomic.Int32
+	queued, err := q.SubmitObserved(context.Background(), batchJobs(t, 1)[0], func() { drainedFired.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Close()
 	if _, err := queued.Result(); !errors.Is(err, ErrQueueClosed) {
-		// The drained job may instead have been run if the worker got to it
-		// first; both are legal — only the observed sequence is pinned.
-		dmu.Lock()
-		if len(drained) != 2 || drained[0] != JobRunning {
-			t.Errorf("run-before-close job transitions = %v", drained)
-		}
-		dmu.Unlock()
-	} else {
-		dmu.Lock()
-		if len(drained) != 1 || drained[0] != JobDone {
-			t.Errorf("drained job transitions = %v, want [done]", drained)
-		}
-		dmu.Unlock()
+		t.Errorf("buffered job err = %v, want ErrQueueClosed", err)
+	}
+	if got := drainedFired.Load(); got != 0 {
+		t.Errorf("drained job fired its hook %d times, want 0", got)
 	}
 	if _, err := blocker.Result(); err != nil && !errors.Is(err, ErrQueueClosed) {
 		t.Errorf("blocker err = %v", err)

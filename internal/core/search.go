@@ -23,8 +23,8 @@ var ErrInputScriptFails = errors.New("core: input script does not execute")
 
 // Standardizer binds a curated search space to one search configuration,
 // reusable across many input scripts. The curation artifacts themselves
-// live in the CuratedCorpus, which several Standardizers (and the batch
-// Engine) can share.
+// live in the CuratedCorpus, which several Standardizers (and every job
+// Queue) can share.
 type Standardizer struct {
 	Corpus *CuratedCorpus
 	Config Config
@@ -36,22 +36,13 @@ func (st *Standardizer) execSources() map[string]*frame.Frame {
 	return st.Corpus.ExecSources(st.Config.MaxRows, st.Config.Seed)
 }
 
-// newSession builds the execution-prefix cache for one standardization, or
-// nil when Config.ExecCache is off.
-func (st *Standardizer) newSession() *interp.SessionCache {
-	return st.newSessionScaled(1)
-}
-
-// newSessionScaled builds a session cache with the node budget scaled for
-// n concurrent searches. interp.DefaultCacheSize is tuned for one search;
-// a batch sharing one trie across n jobs needs a bigger budget, or the
-// jobs evict each other's hot prefixes and the cache thrashes. The
+// newSession builds an execution-prefix cache with the node budget scaled
+// for n concurrent searches. interp.DefaultCacheSize is tuned for one
+// search; a batch sharing one trie across n jobs needs a bigger budget, or
+// the jobs evict each other's hot prefixes and the cache thrashes. The
 // factor is capped: every cached node pins an environment, so scaling by
 // the full job count would trade eviction thrash for GC drag on big data.
-func (st *Standardizer) newSessionScaled(n int) *interp.SessionCache {
-	if !st.Config.ExecCache {
-		return nil
-	}
+func (st *Standardizer) newSession(n int) *interp.SessionCache {
 	size := interp.DefaultCacheSize
 	const maxScale = 4
 	if n > maxScale {
@@ -70,12 +61,13 @@ func (st *Standardizer) interpOptions() interp.Options {
 	return interp.Options{Seed: st.Config.Seed, Limits: st.Config.Limits, Faults: st.Config.Faults}
 }
 
-// runScript executes a candidate script through the shared session cache
-// when one is active, else via a plain run against the pre-sampled sources.
+// runScript executes a candidate script through a view of the session
+// cache, or, with a nil view (the uncached reference path the equivalence
+// tests compare against), via a plain run against the pre-sampled sources.
 // The context cancels at statement granularity.
-func (st *Standardizer) runScript(ctx context.Context, sess interp.Session, s *script.Script) (*interp.Result, error) {
-	if sess != nil {
-		return sess.RunContext(ctx, s)
+func (st *Standardizer) runScript(ctx context.Context, view *interp.CacheView, s *script.Script) (*interp.Result, error) {
+	if view != nil {
+		return view.RunContext(ctx, s)
 	}
 	return interp.RunContext(ctx, s, st.execSources(), st.interpOptions())
 }
@@ -150,7 +142,8 @@ type Result struct {
 	// Timings is the per-phase runtime breakdown (Figure 7).
 	Timings Timings
 	// CacheStats reports the execution-prefix cache's effectiveness for the
-	// whole StandardizeGrid call (zero when Config.ExecCache is off).
+	// whole StandardizeGrid call. A batch or queued job reports its own
+	// traffic through the shared cache, with Evictions left at zero.
 	CacheStats interp.CacheStats
 	// Health reports the containment the run needed: candidates quarantined
 	// for panics or budget exhaustion per phase, corpus scripts skipped
@@ -220,21 +213,17 @@ func (st *Standardizer) StandardizeGrid(su *script.Script, seqs []int, constrain
 // cell verified against whatever archive the truncated search produced,
 // falling back to the input script — and ErrCanceled/ErrDeadlineExceeded.
 func (st *Standardizer) StandardizeGridContext(ctx context.Context, su *script.Script, seqs []int, constraints []intent.Constraint) ([][]*Result, error) {
-	// One shared session cache serves every execution in this call: early
+	// One fresh session cache serves every execution in this call: early
 	// checks and the per-cell verification runs reuse each other's
 	// statement prefixes.
-	var sess interp.Session
-	if sc := st.newSession(); sc != nil {
-		sess = sc
-	}
-	return st.standardizeGridSession(ctx, sess, su, seqs, constraints)
+	return st.standardizeGridSession(ctx, st.newSession(1).SoleView(), su, seqs, constraints)
 }
 
-// standardizeGridSession is StandardizeGridContext against a caller-supplied
-// execution session (nil = uncached runs). The batch engine passes per-job
-// views of one shared SessionCache here, so jobs reuse each other's
-// statement prefixes while each Result's CacheStats stay job-local.
-func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.Session, su *script.Script, seqs []int, constraints []intent.Constraint) ([][]*Result, error) {
+// standardizeGridSession is StandardizeGridContext through a caller-supplied
+// cache view (nil = uncached runs). A Queue passes each job a view of its
+// one shared SessionCache here, so jobs reuse each other's statement
+// prefixes while each Result's CacheStats stay job-local.
+func (st *Standardizer) standardizeGridSession(ctx context.Context, sess *interp.CacheView, su *script.Script, seqs []int, constraints []intent.Constraint) ([][]*Result, error) {
 	cfg := st.Config
 	o := newObsState(ctx, cfg)
 	start := o.start
@@ -484,7 +473,7 @@ func selectBeams(next []*candidate, k int) []*candidate {
 // extendOne runs GetSteps + (diverse) beam extension for one parent beam,
 // appending admitted candidates to next. seen holds the key of every
 // candidate admitted so far in the search; extendBeams adds to it.
-func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess interp.Session, next []*candidate, cand *candidate, seen map[string]bool, timings *Timings, counter *extendStats) []*candidate {
+func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess *interp.CacheView, next []*candidate, cand *candidate, seen map[string]bool, timings *Timings, counter *extendStats) []*candidate {
 	cfg := st.Config
 	before := len(next)
 	t0 := time.Now()
@@ -516,7 +505,7 @@ func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess interp.
 // extendBeams is Algorithm 2 (GetTopKBeams): it walks the ranked
 // transformations and admits a candidate when it would enter the current
 // top-K, verifying the execution constraint first when early checking is on.
-func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess interp.Session, acc []*candidate, cand *candidate, steps []Transformation, k int, seen map[string]bool, res *extendStats) []*candidate {
+func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess *interp.CacheView, acc []*candidate, cand *candidate, steps []Transformation, k int, seen map[string]bool, res *extendStats) []*candidate {
 	admitted := 0
 	for _, tr := range steps {
 		if admitted >= k {
@@ -725,7 +714,7 @@ func sizeBound(a, b int) float64 {
 // never worsens standardness. The context is polled per candidate, so a
 // canceled verification falls back to the input promptly. Returns the
 // winning candidate and how many candidates were examined.
-func (st *Standardizer) verifyWith(ctx context.Context, o *obsState, sess interp.Session, archive []*candidate, orig *candidate, constraint intent.Constraint, cache *verifyCache, res *Result) (*candidate, int) {
+func (st *Standardizer) verifyWith(ctx context.Context, o *obsState, sess *interp.CacheView, archive []*candidate, orig *candidate, constraint intent.Constraint, cache *verifyCache, res *Result) (*candidate, int) {
 	sorted := append([]*candidate(nil), archive...)
 	sort.Slice(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
 	checked := 0

@@ -101,7 +101,7 @@ func BuildVocabWeighted(graphs []*dag.Graph, weights []int) *Vocab {
 			}
 		}
 	}
-	return BuildVocabFromStats(stats, atoms)
+	return BuildVocabFromStats(stats, func(key string) dag.LineInfo { return atoms[key] })
 }
 
 // BuildVocabFromStats folds per-script stats into a fresh Vocab. It is the
@@ -110,10 +110,11 @@ func BuildVocabWeighted(graphs []*dag.Graph, weights []int) *Vocab {
 // membership changes — so the incremental result is byte-identical to a
 // from-scratch curation of the same scripts in the same order (the
 // floating-point MeanPos accumulation runs the exact same operation
-// sequence). atoms supplies the representative LineInfo per line-atom key;
-// an atom key is its canonical lemmatized source, so the representative is
-// the same whichever script contributed it.
-func BuildVocabFromStats(stats []ScriptStats, atoms map[string]dag.LineInfo) *Vocab {
+// sequence). atom supplies the representative LineInfo of a line-atom key,
+// called once per key the fold meets; an atom key is its canonical
+// lemmatized source, so the representative is the same whichever script
+// contributed it.
+func BuildVocabFromStats(stats []ScriptStats, atom func(key string) dag.LineInfo) *Vocab {
 	v := &Vocab{
 		EdgeCounts:    map[string]int{},
 		LineCounts:    map[string]int{},
@@ -138,7 +139,7 @@ func BuildVocabFromStats(stats []ScriptStats, atoms map[string]dag.LineInfo) *Vo
 		for i, lk := range st.LineKeys {
 			v.LineCounts[lk] += w
 			if _, ok := v.Lines[lk]; !ok {
-				v.Lines[lk] = atoms[lk]
+				v.Lines[lk] = atom(lk)
 			}
 			if n > 1 {
 				posSum[lk] += float64(w) * float64(i) / float64(n-1)

@@ -4,7 +4,7 @@
 // single pointer check), while chaos tests install an Injector with seeded
 // rules that fire errors, panics, delays, or resource exhaustion at named
 // sites in the interpreter, the execution-prefix cache, corpus curation,
-// and the batch engine.
+// and the job queue.
 //
 // Decisions are a pure function of (seed, site, key): whether a given
 // Fire(site, key) call fires does not depend on timing, goroutine
@@ -41,7 +41,7 @@ const (
 	// SiteCurateScript fires once per corpus script during curation; the
 	// key is the script's decimal index.
 	SiteCurateScript = "curate.script"
-	// SiteBatchJob fires once per batch-engine job before it starts; the
+	// SiteBatchJob fires once per batch or queued job before it starts; the
 	// key is the job's decimal index.
 	SiteBatchJob = "batch.job"
 )

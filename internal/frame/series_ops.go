@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -125,13 +126,13 @@ func (s *Series) Compare(op CmpOp, value interface{}) (Mask, error) {
 		case Float:
 			for i, f := range s.fs {
 				if s.valid[i] && !math.IsNaN(f) {
-					out[i] = cmpFloat(op, f, v)
+					out[i] = Cmp(op, f, v)
 				}
 			}
 		case Int:
 			for i, n := range s.is {
 				if s.valid[i] {
-					out[i] = cmpFloat(op, float64(n), v)
+					out[i] = Cmp(op, float64(n), v)
 				}
 			}
 		case Bool:
@@ -141,7 +142,7 @@ func (s *Series) Compare(op CmpOp, value interface{}) (Mask, error) {
 					if b {
 						f = 1
 					}
-					out[i] = cmpFloat(op, f, v)
+					out[i] = Cmp(op, f, v)
 				}
 			}
 		default:
@@ -153,7 +154,7 @@ func (s *Series) Compare(op CmpOp, value interface{}) (Mask, error) {
 				if math.IsNaN(f) {
 					continue
 				}
-				out[i] = cmpFloat(op, f, v)
+				out[i] = Cmp(op, f, v)
 			}
 		}
 		return out, nil
@@ -165,7 +166,7 @@ func (s *Series) Compare(op CmpOp, value interface{}) (Mask, error) {
 		if s.kind == String {
 			for i, sv := range s.ss {
 				if s.valid[i] {
-					out[i] = cmpString(op, sv, v)
+					out[i] = Cmp(op, sv, v)
 				}
 			}
 			return out, nil
@@ -174,7 +175,7 @@ func (s *Series) Compare(op CmpOp, value interface{}) (Mask, error) {
 			if !s.valid[i] {
 				continue
 			}
-			out[i] = cmpString(op, s.StringAt(i), v)
+			out[i] = Cmp(op, s.StringAt(i), v)
 		}
 		return out, nil
 	case bool:
@@ -198,7 +199,9 @@ func (s *Series) Compare(op CmpOp, value interface{}) (Mask, error) {
 	}
 }
 
-func cmpFloat(op CmpOp, a, b float64) bool {
+// Cmp evaluates `a op b`, the one comparison kernel behind every series
+// and scalar comparison (a NaN operand compares false except under Ne).
+func Cmp[T cmp.Ordered](op CmpOp, a, b T) bool {
 	switch op {
 	case Lt:
 		return a < b
@@ -216,22 +219,26 @@ func cmpFloat(op CmpOp, a, b float64) bool {
 	return false
 }
 
-func cmpString(op CmpOp, a, b string) bool {
-	switch op {
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	case Ge:
-		return a >= b
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
+// CompareSeries evaluates `s op o` row-wise. A row where either side is
+// null yields false; when both series are numeric the rows compare as
+// floats, otherwise they compare by their renderings (StringAt).
+func (s *Series) CompareSeries(op CmpOp, o *Series) (Mask, error) {
+	if s.Len() != o.Len() {
+		return nil, fmt.Errorf("frame: series length mismatch %d vs %d", s.Len(), o.Len())
 	}
-	return false
+	out := make(Mask, s.Len())
+	numeric := s.IsNumeric() && o.IsNumeric()
+	for i := range out {
+		if !s.valid[i] || !o.valid[i] {
+			continue
+		}
+		if numeric {
+			out[i] = Cmp(op, s.Float(i), o.Float(i))
+		} else {
+			out[i] = Cmp(op, s.StringAt(i), o.StringAt(i))
+		}
+	}
+	return out, nil
 }
 
 // Between returns the mask of rows whose numeric value lies in [lo, hi].

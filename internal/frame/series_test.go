@@ -184,6 +184,45 @@ func TestCompareIntValue(t *testing.T) {
 	}
 }
 
+// TestCompareSeries pins the series-vs-series rules: a null on either side
+// is false, two numeric series compare as floats (int against float
+// included), and anything else compares by rendering — so "10" < "9".
+func TestCompareSeries(t *testing.T) {
+	ints := NewIntSeries("i", []int64{1, 5, 10, 3, 10})
+	ints.SetNull(3)
+	floats := NewFloatSeries("f", []float64{math.NaN(), 5, 10.5, 7, 9.5})
+	strs := NewStringSeries("s", []string{"10", "9", "abc", "5", "10"})
+	strs.SetNull(2)
+	nums := NewIntSeries("n", []int64{9, 9, 1, 5, 10})
+	for _, tc := range []struct {
+		name string
+		l, r *Series
+		op   CmpOp
+		want Mask
+	}{
+		{"int<float", ints, floats, Lt, Mask{false, false, true, false, false}},
+		{"int==float", ints, floats, Eq, Mask{false, true, false, false, false}},
+		{"float!=int", floats, ints, Ne, Mask{false, false, true, false, true}},
+		{"string<int", strs, nums, Lt, Mask{true, false, false, false, false}},
+		{"string==int", strs, nums, Eq, Mask{false, true, false, true, true}},
+		{"int>=string", nums, strs, Ge, Mask{true, true, false, true, true}},
+	} {
+		got, err := tc.l.CompareSeries(tc.op, tc.r)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: mask = %v, want %v", tc.name, got, tc.want)
+				break
+			}
+		}
+	}
+	if _, err := ints.CompareSeries(Eq, NewIntSeries("short", []int64{1})); err == nil {
+		t.Error("length mismatch should error")
+	}
+}
+
 func TestCompareUnsupportedType(t *testing.T) {
 	s := NewIntSeries("n", []int64{1})
 	if _, err := s.Compare(Lt, struct{}{}); err == nil {

@@ -732,32 +732,18 @@ func (e *Env) compare(op frame.CmpOp, l, r Value) (Value, error) {
 		case float64, string, bool:
 			return lv.Compare(op, rv)
 		case *frame.Series:
-			if lv.Len() != rv.Len() {
-				return nil, fmt.Errorf("series length mismatch %d vs %d", lv.Len(), rv.Len())
-			}
-			m := make(frame.Mask, lv.Len())
-			for i := 0; i < lv.Len(); i++ {
-				if !lv.IsValid(i) || !rv.IsValid(i) {
-					continue
-				}
-				if lv.IsNumeric() && rv.IsNumeric() {
-					m[i] = cmpFloats(op, lv.Float(i), rv.Float(i))
-				} else {
-					m[i] = cmpStrings(op, lv.StringAt(i), rv.StringAt(i))
-				}
-			}
-			return m, nil
+			return lv.CompareSeries(op, rv)
 		}
 	case float64:
 		if rv, ok := r.(*frame.Series); ok {
 			return rv.Compare(flipCmp(op), lv)
 		}
 		if rv, ok := r.(float64); ok {
-			return cmpFloats(op, lv, rv), nil
+			return frame.Cmp(op, lv, rv), nil
 		}
 	case string:
 		if rv, ok := r.(string); ok {
-			return cmpStrings(op, lv, rv), nil
+			return frame.Cmp(op, lv, rv), nil
 		}
 	}
 	return nil, fmt.Errorf("cannot compare %s and %s", typeName(l), typeName(r))
@@ -775,42 +761,6 @@ func flipCmp(op frame.CmpOp) frame.CmpOp {
 		return frame.Le
 	}
 	return op
-}
-
-func cmpFloats(op frame.CmpOp, a, b float64) bool {
-	switch op {
-	case frame.Lt:
-		return a < b
-	case frame.Le:
-		return a <= b
-	case frame.Gt:
-		return a > b
-	case frame.Ge:
-		return a >= b
-	case frame.Eq:
-		return a == b
-	case frame.Ne:
-		return a != b
-	}
-	return false
-}
-
-func cmpStrings(op frame.CmpOp, a, b string) bool {
-	switch op {
-	case frame.Lt:
-		return a < b
-	case frame.Le:
-		return a <= b
-	case frame.Gt:
-		return a > b
-	case frame.Ge:
-		return a >= b
-	case frame.Eq:
-		return a == b
-	case frame.Ne:
-		return a != b
-	}
-	return false
 }
 
 func (e *Env) arith(op frame.ArithOp, l, r Value) (Value, error) {

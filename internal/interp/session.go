@@ -37,14 +37,6 @@ func (c CacheStats) EstSavedTime() time.Duration {
 	return time.Duration(per * float64(c.StmtsSkipped))
 }
 
-// Session is the execution surface the search layer runs candidates
-// through: either a *SessionCache itself or a per-job *CacheView of one.
-// Both are safe for concurrent use.
-type Session interface {
-	RunContext(ctx context.Context, s *script.Script) (*Result, error)
-	Stats() CacheStats
-}
-
 // trieNode is one executed statement prefix. The path from the root spells
 // the exact statement texts executed so far; env is the (immutable) forked
 // environment after executing that prefix, or nil when the prefix fails,
@@ -230,19 +222,28 @@ func (c *SessionCache) step(node *trieNode, line int, st script.Stmt) (*trieNode
 	return child, delta, child.err
 }
 
-// CacheView is a per-caller handle on a shared SessionCache: runs through a
-// view hit the same trie (so concurrent batch jobs share each other's
-// prefixes) while the view's Stats only count this caller's traffic.
-// Evictions are a property of the shared cache, not of any one view, so a
-// view's Evictions stays 0 — read the underlying cache's Stats for them.
+// CacheView is a per-caller handle on a SessionCache, and the surface the
+// search layer runs candidates through: runs through a view hit the same
+// trie (so concurrent jobs share each other's prefixes) while the view's
+// Stats only count this caller's traffic. Evictions are a property of the
+// shared cache, not of any one view, so a shared view's Evictions stays 0 —
+// read the underlying cache's Stats for them. Safe for concurrent use.
 type CacheView struct {
-	c     *SessionCache
+	c *SessionCache
+	// sole marks the only view of its cache (SoleView), whose Stats are
+	// the cache's own, evictions included.
+	sole  bool
 	mu    sync.Mutex
 	stats CacheStats
 }
 
 // NewView returns a view whose Stats attribute traffic to this caller only.
 func (c *SessionCache) NewView() *CacheView { return &CacheView{c: c} }
+
+// SoleView returns the view of a cache that no other caller runs through:
+// its Stats report the cache's evictions too. Call it at most once per
+// cache, in place of NewView.
+func (c *SessionCache) SoleView() *CacheView { return &CacheView{c: c, sole: true} }
 
 func (v *CacheView) add(d CacheStats) {
 	v.mu.Lock()
@@ -263,8 +264,12 @@ func (v *CacheView) RunContext(ctx context.Context, s *script.Script) (*Result, 
 // Stats returns a snapshot of this view's traffic counters.
 func (v *CacheView) Stats() CacheStats {
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.stats
+	s := v.stats
+	v.mu.Unlock()
+	if v.sole {
+		s.Evictions = v.c.Stats().Evictions
+	}
+	return s
 }
 
 // evictLocked drops least-recently-used leaves until the trie is at 90% of

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -209,6 +210,7 @@ func TestSessionCacheEviction(t *testing.T) {
 	sources := titanicSources(t)
 	opts := Options{Seed: 1}
 	cache := NewSessionCache(sources, opts, 6)
+	view := cache.SoleView()
 	for i := 0; i < 8; i++ {
 		src := fmt.Sprintf(`import pandas as pd
 df = pd.read_csv("train.csv")
@@ -219,12 +221,16 @@ df["V%d"] = %d
 			t.Fatal(err)
 		}
 		plain, plainErr := Run(s, sources, opts)
-		cached, cachedErr := cache.Run(s)
+		cached, cachedErr := view.RunContext(context.Background(), s)
 		assertSameResult(t, fmt.Sprintf("script %d", i), plain, plainErr, cached, cachedErr)
 	}
 	st := cache.Stats()
 	if st.Evictions == 0 {
 		t.Fatalf("expected evictions with maxNodes=6: %+v", st)
+	}
+	// The sole view's stats are the cache's own, evictions included.
+	if vs := view.Stats(); vs != st {
+		t.Fatalf("sole view stats %+v, cache stats %+v", vs, st)
 	}
 	// Evicted prefixes must still produce correct results when re-run.
 	src := `import pandas as pd

@@ -122,21 +122,13 @@ func parseMember(s Script) (*script.Script, error) {
 }
 
 // record is one corpus member's resident state: identity, source, and the
-// cached fold contribution. Removal tombstones the record in place (dead)
-// so insertion order — which fixes the fold's floating-point operation
-// order — survives arbitrarily interleaved adds and removes; compaction
-// drops tombstones once they outnumber half the slice.
+// cached fold contribution.
 type record struct {
 	id     string
 	source string
 	weight int
 	stats  entropy.ScriptStats
-	dead   bool
 }
-
-// compactionFloor is the minimum tombstone count before compaction runs;
-// below it the slice is too small for the dead fraction to matter.
-const compactionFloor = 64
 
 // retainVersions is how many published snapshots Publish leaves on disk;
 // older ones are pruned. The retained window is what Open's
@@ -157,11 +149,12 @@ type Registry struct {
 	numLive int
 	path    string // snapshot backing the lazy scripts section ("" once loaded)
 
+	// records are the live members in insertion order, which fixes the
+	// fold's floating-point operation order; live holds their ids. The
+	// atom table of the live members is vocab.Lines, the last fold's.
 	loaded  bool
 	records []*record
-	index   map[string]int // live id → records position
-	atoms   map[string]dag.LineInfo
-	dead    int
+	live    map[string]bool
 
 	diags []string
 }
@@ -175,19 +168,16 @@ func Create(dir string, scripts []Script) (*Registry, error) {
 	}
 	r := &Registry{
 		dir:    dir,
+		vocab:  &entropy.Vocab{},
 		loaded: true,
-		index:  map[string]int{},
-		atoms:  map[string]dag.LineInfo{},
+		live:   map[string]bool{},
 	}
-	staged, err := r.stage(scripts)
+	staged, fresh, err := r.stage(scripts)
 	if err != nil {
 		return nil, err
 	}
-	for _, rec := range staged {
-		r.index[rec.id] = len(r.records)
-		r.records = append(r.records, rec)
-	}
-	r.refoldLocked()
+	r.appendLocked(staged)
+	r.refoldLocked(fresh)
 	if _, err := r.publishLocked(); err != nil {
 		return nil, err
 	}
@@ -313,9 +303,8 @@ func (r *Registry) Members() ([]Script, error) {
 	if err := r.ensureLoadedLocked(); err != nil {
 		return nil, err
 	}
-	live := r.liveLocked()
-	out := make([]Script, len(live))
-	for i, rec := range live {
+	out := make([]Script, len(r.records))
+	for i, rec := range r.records {
 		out[i] = Script{ID: rec.id, Source: rec.source, Weight: rec.weight}
 	}
 	return out, nil
@@ -329,14 +318,14 @@ func (r *Registry) Diagnostics() []string {
 	return append([]string(nil), r.diags...)
 }
 
-// Apply re-curates incrementally: remove tombstones live members by id,
-// add lemmatizes and appends new members, and the surviving stats re-fold
-// into a fresh vocabulary. Only the added scripts are lemmatized — the
-// cost is O(adds) lemmatization plus one cheap fold over cached stats,
-// not a from-scratch curation — yet the resulting state is byte-identical
-// to Create over the same membership. Validation runs before any
-// mutation, so a failed Apply leaves the registry untouched. The change is
-// in-memory until Publish.
+// Apply re-curates incrementally: remove drops live members by id, add
+// lemmatizes and appends new members, and the surviving stats re-fold into
+// a fresh vocabulary. Only the added scripts are lemmatized — the cost is
+// O(adds) lemmatization plus one pass over the members and one cheap fold
+// over cached stats, not a from-scratch curation — yet the resulting state
+// is byte-identical to Create over the same membership. Validation runs
+// before any mutation, so a failed Apply leaves the registry untouched.
+// The change is in-memory until Publish.
 func (r *Registry) Apply(add, remove []Script) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -344,31 +333,37 @@ func (r *Registry) Apply(add, remove []Script) error {
 		return err
 	}
 	for _, s := range remove {
-		if _, ok := r.index[s.ID]; !ok {
+		if !r.live[s.ID] {
 			return fmt.Errorf("%w: removing %q", ErrUnknownScript, s.ID)
 		}
 	}
 	for _, s := range add {
-		if _, ok := r.index[s.ID]; ok {
+		if r.live[s.ID] {
 			return fmt.Errorf("%w: adding %q", ErrDuplicateScript, s.ID)
 		}
 	}
-	staged, err := r.stage(add)
+	staged, fresh, err := r.stage(add)
 	if err != nil {
 		return err
 	}
-	for _, s := range remove {
-		pos := r.index[s.ID]
-		r.records[pos].dead = true
-		delete(r.index, s.ID)
-		r.dead++
+	if len(remove) > 0 {
+		gone := make(map[string]bool, len(remove))
+		for _, s := range remove {
+			gone[s.ID] = true
+			delete(r.live, s.ID)
+		}
+		// Filter in place: survivors keep their insertion order.
+		kept := r.records[:0]
+		for _, rec := range r.records {
+			if !gone[rec.id] {
+				kept = append(kept, rec)
+			}
+		}
+		clear(r.records[len(kept):])
+		r.records = kept
 	}
-	for _, rec := range staged {
-		r.index[rec.id] = len(r.records)
-		r.records = append(r.records, rec)
-	}
-	r.maybeCompactLocked()
-	r.refoldLocked()
+	r.appendLocked(staged)
+	r.refoldLocked(fresh)
 	return nil
 }
 
@@ -409,7 +404,7 @@ func (r *Registry) Sync(want []Script) (added, removed int, err error) {
 		return 0, 0, nil
 	}
 	// Replaced members are in both lists, and Apply checks adds against
-	// the membership before its removals, so tombstone first, then add.
+	// the membership before its removals, so remove first, then add.
 	if err := r.Apply(nil, remove); err != nil {
 		return 0, 0, err
 	}
@@ -432,73 +427,61 @@ func foldWeight(w int) int {
 }
 
 // stage parses and lemmatizes scripts into records without touching the
-// registry, also rejecting duplicate ids within the batch itself.
-func (r *Registry) stage(scripts []Script) ([]*record, error) {
+// registry, also rejecting duplicate ids within the batch itself. fresh
+// holds the staged atoms the current vocabulary lacks.
+func (r *Registry) stage(scripts []Script) (staged []*record, fresh map[string]dag.LineInfo, err error) {
 	seen := map[string]bool{}
-	staged := make([]*record, 0, len(scripts))
+	fresh = map[string]dag.LineInfo{}
 	for _, s := range scripts {
 		if s.ID == "" {
-			return nil, fmt.Errorf("%w: empty id", ErrBadScript)
+			return nil, nil, fmt.Errorf("%w: empty id", ErrBadScript)
 		}
 		if seen[s.ID] {
-			return nil, fmt.Errorf("%w: %q appears twice in one batch", ErrDuplicateScript, s.ID)
+			return nil, nil, fmt.Errorf("%w: %q appears twice in one batch", ErrDuplicateScript, s.ID)
 		}
 		seen[s.ID] = true
 		parsed, err := parseMember(s)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		g := dag.Build(parsed)
 		w := foldWeight(s.Weight)
-		rec := &record{id: s.ID, source: s.Source, weight: w, stats: entropy.StatsOf(g, w)}
-		staged = append(staged, rec)
+		staged = append(staged, &record{id: s.ID, source: s.Source, weight: w, stats: entropy.StatsOf(g, w)})
 		for _, li := range g.Lines {
-			if _, ok := r.atoms[li.Key]; !ok {
-				r.atoms[li.Key] = li
+			if _, ok := r.vocab.Lines[li.Key]; !ok {
+				fresh[li.Key] = li
 			}
 		}
 	}
-	return staged, nil
+	return staged, fresh, nil
+}
+
+// appendLocked adds staged records to the live membership.
+func (r *Registry) appendLocked(staged []*record) {
+	for _, rec := range staged {
+		r.live[rec.id] = true
+		r.records = append(r.records, rec)
+	}
 }
 
 // refoldLocked rebuilds the vocabulary from the live records, in insertion
 // order — the identical operation sequence a from-scratch curation of the
-// same scripts would run.
-func (r *Registry) refoldLocked() {
-	stats := make([]entropy.ScriptStats, 0, len(r.records)-r.dead)
-	for _, rec := range r.records {
-		if !rec.dead {
-			stats = append(stats, rec.stats)
-		}
+// same scripts would run. An atom comes from the previous vocabulary, which
+// is only read, or from fresh; the new vocabulary's Lines then hold
+// exactly the live members' atoms.
+func (r *Registry) refoldLocked(fresh map[string]dag.LineInfo) {
+	stats := make([]entropy.ScriptStats, len(r.records))
+	for i, rec := range r.records {
+		stats[i] = rec.stats
 	}
-	r.vocab = entropy.BuildVocabFromStats(stats, r.atoms)
+	prev := r.vocab.Lines
+	r.vocab = entropy.BuildVocabFromStats(stats, func(key string) dag.LineInfo {
+		if li, ok := prev[key]; ok {
+			return li
+		}
+		return fresh[key]
+	})
 	r.numLive = len(stats)
-}
-
-// maybeCompactLocked drops tombstones once they exceed both the floor and
-// half the slice, rebuilding the id index and pruning the atom table to
-// the atoms live records still reference. Live order is preserved, so
-// compaction never perturbs the fold.
-func (r *Registry) maybeCompactLocked() {
-	if r.dead < compactionFloor || 2*r.dead <= len(r.records) {
-		return
-	}
-	live := make([]*record, 0, len(r.records)-r.dead)
-	index := make(map[string]int, len(r.records)-r.dead)
-	atoms := make(map[string]dag.LineInfo)
-	for _, rec := range r.records {
-		if rec.dead {
-			continue
-		}
-		index[rec.id] = len(live)
-		live = append(live, rec)
-		for _, lk := range rec.stats.LineKeys {
-			if _, ok := atoms[lk]; !ok {
-				atoms[lk] = r.atoms[lk]
-			}
-		}
-	}
-	r.records, r.index, r.atoms, r.dead = live, index, atoms, 0
 }
 
 // ensureLoadedLocked materializes the scripts section on first need. The
@@ -514,21 +497,19 @@ func (r *Registry) ensureLoadedLocked() error {
 	if err != nil {
 		return err
 	}
+	atoms := r.vocab.Lines
 	atomKeys := sortedAtomKeys(r.vocab)
-	atoms := make(map[string]dag.LineInfo, len(atomKeys))
 	unigramMemo := make(map[string][]string, len(atomKeys))
 	for _, k := range atomKeys {
-		li := r.vocab.Lines[k]
-		atoms[k] = li
-		unigramMemo[k] = dag.UnigramAtoms(li.Stmt)
+		unigramMemo[k] = dag.UnigramAtoms(atoms[k].Stmt)
 	}
 	records := make([]*record, 0, len(scripts))
-	index := make(map[string]int, len(scripts))
+	live := make(map[string]bool, len(scripts))
 	for _, fs := range scripts {
 		if fs.ID == "" {
 			return fmt.Errorf("%w: scripts section entry with empty id", ErrCorrupt)
 		}
-		if _, dup := index[fs.ID]; dup {
+		if live[fs.ID] {
 			return fmt.Errorf("%w: scripts section repeats id %q", ErrCorrupt, fs.ID)
 		}
 		lineKeys := make([]string, len(fs.Lines))
@@ -555,7 +536,7 @@ func (r *Registry) ensureLoadedLocked() error {
 				UnigramKeys: unigrams,
 			},
 		}
-		index[rec.id] = len(records)
+		live[rec.id] = true
 		records = append(records, rec)
 	}
 	// Cross-section consistency: the stats must fold back to the very
@@ -564,7 +545,7 @@ func (r *Registry) ensureLoadedLocked() error {
 	for i, rec := range records {
 		stats[i] = rec.stats
 	}
-	refolded := entropy.BuildVocabFromStats(stats, atoms)
+	refolded := entropy.BuildVocabFromStats(stats, func(key string) dag.LineInfo { return atoms[key] })
 	same, err := vocabsEqual(refolded, r.vocab)
 	if err != nil {
 		return err
@@ -572,7 +553,7 @@ func (r *Registry) ensureLoadedLocked() error {
 	if !same {
 		return fmt.Errorf("%w: scripts section does not fold to the stored vocabulary (mixed snapshot versions?)", ErrCorrupt)
 	}
-	r.records, r.index, r.atoms, r.dead = records, index, atoms, 0
+	r.records, r.live = records, live
 	r.loaded = true
 	r.path = ""
 	return nil
@@ -594,8 +575,7 @@ func vocabsEqual(a, b *entropy.Vocab) (bool, error) {
 // Publish writes the registry's current state as the directory's next
 // version (atomic temp + fsync + rename), swings CURRENT to it, prunes
 // snapshots beyond the retention window, and returns the new version.
-// Tombstones never reach disk — a snapshot always carries exactly the
-// live membership, in insertion order.
+// A snapshot carries exactly the live membership, in insertion order.
 func (r *Registry) Publish() (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -614,10 +594,9 @@ func (r *Registry) publishLocked() (int64, error) {
 	if n := len(versions); n > 0 {
 		next = versions[n-1] + 1
 	}
-	live := r.liveLocked()
 	name := snapshotName(next)
 	if err := atomicfile.Write(r.dir, name, func(w io.Writer) error {
-		return encodeSnapshot(w, next, r.vocab, live)
+		return encodeSnapshot(w, next, r.vocab, r.records)
 	}); err != nil {
 		return 0, fmt.Errorf("registry: publishing %s: %w", name, err)
 	}
@@ -638,17 +617,6 @@ func (r *Registry) publishLocked() (int64, error) {
 	return next, nil
 }
 
-// liveLocked returns the live records in insertion order.
-func (r *Registry) liveLocked() []*record {
-	live := make([]*record, 0, len(r.records)-r.dead)
-	for _, rec := range r.records {
-		if !rec.dead {
-			live = append(live, rec)
-		}
-	}
-	return live
-}
-
 // StateBytes serializes the full corpus state — vocabulary, atom table,
 // per-script metadata, insertion order — with the version pinned to zero,
 // so two registries hold byte-identical state exactly when their corpora
@@ -661,7 +629,7 @@ func (r *Registry) StateBytes() ([]byte, error) {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := encodeSnapshot(&buf, 0, r.vocab, r.liveLocked()); err != nil {
+	if err := encodeSnapshot(&buf, 0, r.vocab, r.records); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

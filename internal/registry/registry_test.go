@@ -428,14 +428,17 @@ func TestApplyValidatesBeforeMutating(t *testing.T) {
 	}
 }
 
-func TestCompactionPreservesEquivalence(t *testing.T) {
+// TestChurnPreservesEquivalence removes most of the corpus in batches: the
+// state left (records, their order, the atom table of the last fold) must
+// be byte-identical to a from-scratch curation of the survivors.
+func TestChurnPreservesEquivalence(t *testing.T) {
 	var scripts []Script
 	for i := 0; i < 200; i++ {
 		scripts = append(scripts, testScript(i))
 	}
 	reg := oracleCreate(t, scripts)
-	// Remove three quarters in batches — enough tombstones to cross both
-	// compaction thresholds several times over.
+	// Remove three quarters in batches, so atoms only removed members
+	// used must leave the atom table.
 	for start := 0; start < 150; start += 50 {
 		if err := reg.Apply(nil, scripts[start:start+50]); err != nil {
 			t.Fatal(err)
@@ -443,7 +446,21 @@ func TestCompactionPreservesEquivalence(t *testing.T) {
 	}
 	oracle := oracleCreate(t, scripts[150:])
 	if !bytes.Equal(mustStateBytes(t, reg), mustStateBytes(t, oracle)) {
-		t.Fatal("post-compaction state diverged from from-scratch curation")
+		t.Fatal("post-churn state diverged from from-scratch curation")
+	}
+}
+
+// TestApplyRepeatedRemoval names one member twice in one removal: it is
+// removed once, and no other member goes with it.
+func TestApplyRepeatedRemoval(t *testing.T) {
+	scripts := []Script{testScript(0), testScript(1), testScript(2)}
+	reg := oracleCreate(t, scripts)
+	if err := reg.Apply(nil, []Script{scripts[1], scripts[1]}); err != nil {
+		t.Fatal(err)
+	}
+	oracle := oracleCreate(t, []Script{scripts[0], scripts[2]})
+	if !bytes.Equal(mustStateBytes(t, reg), mustStateBytes(t, oracle)) {
+		t.Fatal("a repeated removal diverged from curating the survivors")
 	}
 }
 

@@ -325,15 +325,11 @@ func (s *Server) Recovery() RecoveryStats { return s.recovery }
 // observer is the per-job durability hook: the queue calls it on the
 // worker goroutine when the job starts running. (The done transition is
 // persisted by the finalizer, which also has the result and output hash.)
-func (s *Server) observer(id string) func(lucidscript.JobState) {
+func (s *Server) observer(id string) func() {
 	if s.store == nil {
 		return nil
 	}
-	return func(st lucidscript.JobState) {
-		if st == lucidscript.JobRunning {
-			_ = s.store.AppendRunning(id)
-		}
-	}
+	return func() { _ = s.store.AppendRunning(id) }
 }
 
 // Handler returns the service's routes. Mount it as an http.Server's (or

@@ -585,9 +585,10 @@ func (e *BatchError) Unwrap() []error {
 }
 
 // StandardizeBatch standardizes every job concurrently over one shared
-// curated corpus and one shared execution-prefix cache, using a worker pool
-// of Options.BatchWorkers goroutines. It is StandardizeBatchContext with a
-// background context.
+// curated corpus and one shared execution-prefix cache, on a job queue of
+// Options.BatchWorkers workers (so a batch moves the queue counters of
+// Options.Metrics too). It is StandardizeBatchContext with a background
+// context.
 func (s *System) StandardizeBatch(jobs []*Script) ([]*Result, error) {
 	return s.StandardizeBatchContext(context.Background(), jobs)
 }
@@ -602,8 +603,7 @@ func (s *System) StandardizeBatch(jobs []*Script) ([]*Result, error) {
 // When any job fails the returned error is a *BatchError whose Errs slice
 // is parallel to jobs.
 func (s *System) StandardizeBatchContext(ctx context.Context, jobs []*Script) ([]*Result, error) {
-	eng := core.NewEngine(s.std, s.batchWorkers, s.timeout)
-	results, errs := eng.StandardizeBatch(ctx, jobs)
+	results, errs := s.std.StandardizeBatch(ctx, s.batchWorkers, s.timeout, jobs)
 	for _, err := range errs {
 		if err != nil {
 			return results, &BatchError{Errs: errs}

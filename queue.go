@@ -64,5 +64,5 @@ func (s *System) NewJobQueue(workers, depth int) *JobQueue {
 	if depth <= 0 {
 		depth = 2 * workers
 	}
-	return core.NewEngine(s.std, workers, s.timeout).NewQueue(depth)
+	return s.std.NewQueue(workers, s.timeout, depth)
 }
