@@ -41,7 +41,10 @@ func (st *Standardizer) DetectAnomalies(su *script.Script, maxFrequency float64)
 		maxFrequency = 0.1
 	}
 	g := dag.Build(su)
-	base := st.Corpus.Vocab.RELines(g.Lines)
+	sc := st.Corpus.Vocab.NewScorer()
+	ids := sc.InternAll(g.Lines)
+	base := sc.RE(ids)
+	without := make([]int32, 0, len(ids))
 	var out []Anomaly
 	for i, li := range g.Lines {
 		if protectedLine(li) {
@@ -51,12 +54,12 @@ func (st *Standardizer) DetectAnomalies(su *script.Script, maxFrequency float64)
 		if freq >= maxFrequency {
 			continue
 		}
-		without := applyLines(g.Lines, Transformation{Type: TransformDelete, Pos: i})
+		without = applyIDs(without[:0], ids, Transformation{Type: TransformDelete, Pos: i}, -1)
 		out = append(out, Anomaly{
 			Line:            i + 1,
 			Source:          li.Key,
 			CorpusFrequency: freq,
-			REGain:          base - st.Corpus.Vocab.RELines(without),
+			REGain:          base - sc.RE(without),
 		})
 	}
 	sort.SliceStable(out, func(a, b int) bool {

@@ -231,12 +231,13 @@ df = pd.get_dummies(df)
 			sess := cache.NewView()
 
 			ctx := context.Background()
-			origRun, err := st.runScript(ctx, sess, dag.ToScript(gOrig.Lines))
+			origRun, err := st.runLines(ctx, sess, gOrig.Lines)
 			if err != nil {
 				t.Fatalf("original script failed: %v", err)
 			}
-			orig := newCandidate(gOrig.Lines, st.Corpus.Vocab)
-			cand := newCandidate(gCand.Lines, st.Corpus.Vocab)
+			sc := st.Corpus.Vocab.NewScorer()
+			orig := newCandidate(gOrig.Lines, sc)
+			cand := newCandidate(gCand.Lines, sc)
 			cand.re = orig.re - 1 // sorts ahead of orig
 
 			res := &Result{}

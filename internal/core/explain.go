@@ -38,11 +38,12 @@ func (st *Standardizer) ExplainResult(res *Result) []Explanation {
 		return nil
 	}
 	lines := res.Input
-	prevRE := st.Corpus.Vocab.RELines(lines)
+	sc := st.Corpus.Vocab.NewScorer()
+	prevRE := sc.RELines(lines)
 	out := make([]Explanation, 0, len(res.Applied))
 	for _, tr := range res.Applied {
 		lines = applyLines(lines, tr)
-		re := st.Corpus.Vocab.RELines(lines)
+		re := sc.RELines(lines)
 		out = append(out, Explanation{
 			Transformation:  tr,
 			CorpusFrequency: st.atomFrequency(tr.Atom.Key),

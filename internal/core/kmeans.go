@@ -2,9 +2,8 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
-	"lucidscript/internal/dag"
 	"lucidscript/internal/entropy"
 )
 
@@ -12,30 +11,16 @@ import (
 // each transformation's updated edge-distribution vector P(x) (the paper's
 // ClusterSteps). Within each cluster, transformations stay ranked by RE.
 // When there are fewer transformations than clusters, each gets its own.
-func clusterSteps(c *candidate, steps []Transformation, m int, v *entropy.Vocab) [][]Transformation {
+func clusterSteps(c *candidate, steps []step, m int, sc *entropy.Scorer) [][]step {
 	if m <= 1 || len(steps) <= m {
-		out := make([][]Transformation, 0, len(steps))
+		out := make([][]step, 0, len(steps))
 		for _, s := range steps {
-			out = append(out, []Transformation{s})
+			out = append(out, []step{s})
 		}
 		return out
 	}
-	// Feature space: the corpus edge vocabulary, densely indexed.
-	dim := map[string]int{}
-	keys := make([]string, 0, len(v.EdgeCounts))
-	for k := range v.EdgeCounts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		dim[k] = i
-	}
-	vecs := make([][]float64, len(steps))
-	for i, tr := range steps {
-		vecs[i] = edgeVector(c, tr, dim)
-	}
-	assign := kmeans(vecs, m, 12)
-	out := make([][]Transformation, m)
+	assign := kmeans(edgeVectors(c, steps, sc), m, 12)
+	out := make([][]step, m)
 	for i, a := range assign {
 		out[a] = append(out[a], steps[i])
 	}
@@ -49,23 +34,49 @@ func clusterSteps(c *candidate, steps []Transformation, m int, v *entropy.Vocab)
 	return res
 }
 
-// edgeVector embeds the post-transformation script as a normalized edge
-// count vector over the corpus edge vocabulary.
-func edgeVector(c *candidate, tr Transformation, dim map[string]int) []float64 {
-	vec := make([]float64, len(dim))
-	total := 0.0
-	for _, k := range dag.EdgeKeysOf(applyLines(c.lines, tr)) {
-		if i, ok := dim[k]; ok {
-			vec[i]++
-			total++
+// edgeVectors embeds each post-transformation script as a normalized count
+// vector over the corpus edges. The feature space is the corpus edge
+// vocabulary in id (sorted key) order, restricted to the edges some step
+// touches: every dropped dimension is zero in every vector, and so in
+// every centroid, and the distances and centroid sums K-means takes over
+// the full space differ only by exact +0.0 terms. Assignments are the same
+// bit for bit.
+func edgeVectors(c *candidate, steps []step, sc *entropy.Scorer) [][]float64 {
+	// flat holds every step's corpus edges, step i's ending at ends[i].
+	var flat []int32
+	ends := make([]int, len(steps))
+	buf := make([]int32, 0, len(c.ids)+1)
+	for i, s := range steps {
+		buf = applyIDs(buf[:0], c.ids, s.Transformation, sc.Intern(s.Atom))
+		start := len(flat)
+		flat = sc.EdgesOf(buf, flat)
+		kept := flat[:start]
+		for _, e := range flat[start:] {
+			if sc.IsCorpusEdge(e) {
+				kept = append(kept, e)
+			}
 		}
+		flat, ends[i] = kept, len(kept)
 	}
-	if total > 0 {
-		for i := range vec {
-			vec[i] /= total
+	dims := append([]int32(nil), flat...)
+	slices.Sort(dims)
+	dims = slices.Compact(dims)
+	vecs := make([][]float64, len(steps))
+	start := 0
+	for i, end := range ends {
+		vec := make([]float64, len(dims))
+		for _, e := range flat[start:end] {
+			j, _ := slices.BinarySearch(dims, e)
+			vec[j]++
 		}
+		if total := float64(end - start); total > 0 {
+			for j := range vec {
+				vec[j] /= total
+			}
+		}
+		vecs[i], start = vec, end
 	}
-	return vec
+	return vecs
 }
 
 // kmeans runs Lloyd's algorithm with deterministic farthest-point seeding.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lucidscript/internal/faults"
+	"lucidscript/internal/gen"
 	"lucidscript/internal/obs"
 )
 
@@ -390,5 +391,46 @@ func TestQueueSubmitObserved(t *testing.T) {
 	}
 	if _, err := blocker.Result(); err != nil && !errors.Is(err, ErrQueueClosed) {
 		t.Errorf("blocker err = %v", err)
+	}
+}
+
+// TestQueueSharedFreshVocab runs many searches at once against one Vocab
+// whose id index nobody has built yet: every queue worker builds or waits
+// for it on first use, then scores on it without a lock. Run under -race,
+// it checks that first use is safe, and every queued Result equals the
+// same job standardized sequentially against a Vocab of its own.
+func TestQueueSharedFreshVocab(t *testing.T) {
+	const n = 6
+	g := gen.New(11)
+	corpus, jobs, sources := g.Scripts(10), g.Scripts(n), g.Sources(120)
+
+	want := make([]string, n)
+	seq := New(corpus, sources, DefaultConfig())
+	for i, su := range jobs {
+		res, err := seq.Standardize(su)
+		if err != nil {
+			t.Fatalf("sequential %d: %v", i, err)
+		}
+		want[i] = resultFingerprint(res)
+	}
+
+	q := New(corpus, sources, DefaultConfig()).NewQueue(n, 0, n)
+	defer q.Close()
+	handles := make([]*QueuedJob, n)
+	for i, su := range jobs {
+		h, err := q.Submit(context.Background(), su)
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		handles[i] = h
+	}
+	for i, h := range handles {
+		res, err := h.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if got := resultFingerprint(res); got != want[i] {
+			t.Errorf("job %d: queued\n%s\nsequential\n%s", i, got, want[i])
+		}
 	}
 }

@@ -61,15 +61,21 @@ func (st *Standardizer) interpOptions() interp.Options {
 	return interp.Options{Seed: st.Config.Seed, Limits: st.Config.Limits, Faults: st.Config.Faults}
 }
 
-// runScript executes a candidate script through a view of the session
-// cache, or, with a nil view (the uncached reference path the equivalence
-// tests compare against), via a plain run against the pre-sampled sources.
-// The context cancels at statement granularity.
-func (st *Standardizer) runScript(ctx context.Context, view *interp.CacheView, s *script.Script) (*interp.Result, error) {
-	if view != nil {
-		return view.RunContext(ctx, s)
+// runLines executes a candidate's line atoms as a script through a view of
+// the session cache, handing down each line's key, the statement's
+// rendering, as its trie key. With a nil view (the uncached reference path
+// the equivalence tests compare against) it runs them plainly against the
+// pre-sampled sources. The context cancels at statement granularity.
+func (st *Standardizer) runLines(ctx context.Context, view *interp.CacheView, lines []dag.LineInfo) (*interp.Result, error) {
+	s := dag.ToScript(lines)
+	if view == nil {
+		return interp.RunContext(ctx, s, st.execSources(), st.interpOptions())
 	}
-	return interp.RunContext(ctx, s, st.execSources(), st.interpOptions())
+	keys := make([]string, len(lines))
+	for i, li := range lines {
+		keys[i] = li.Key
+	}
+	return view.RunKeyed(ctx, s, keys)
 }
 
 // OutputDigest executes a script against the corpus's full (unsampled)
@@ -245,13 +251,14 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess *interp
 
 	// Lemmatize the input and compute its baseline.
 	g := dag.Build(su)
-	orig := newCandidate(g.Lines, st.Corpus.Vocab)
+	sc := st.Corpus.Vocab.NewScorer()
+	orig := newCandidate(g.Lines, sc)
 	if o.enabled() {
 		o.emit(obs.Event{Kind: obs.EvSearchStart, Phase: obs.PhaseExtend, N: len(g.Lines)})
 	}
 
 	t0 := time.Now()
-	origRun, err := st.runScript(o.ctxCheck, sess, g.Script)
+	origRun, err := st.runLines(o.ctxCheck, sess, g.Lines)
 	gs.execChecks++
 	if err != nil {
 		if cerr := ctxCause(ctx); cerr != nil {
@@ -288,7 +295,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess *interp
 		stepStart := time.Now()
 		var next []*candidate
 		for _, cand := range beams {
-			next = st.extendOne(ctx, o, sess, next, cand, seen, &searchTimings, counter)
+			next = st.extendOne(ctx, o, sess, sc, next, cand, seen, &searchTimings, counter)
 		}
 		// Every admitted candidate enters the verification archive, not just
 		// the K that continue: with early checking they already executed,
@@ -414,11 +421,11 @@ func less(a, b *candidate) bool {
 // while keeping every delete: deletes are few, and pruning them would
 // starve the removal of out-of-the-ordinary blocks (Section 6.6) whose
 // payoff needs several chained deletes.
-func limitSteps(steps []Transformation, limit int) []Transformation {
+func limitSteps(steps []step, limit int) []step {
 	if limit <= 0 || len(steps) <= limit {
 		return steps
 	}
-	out := make([]Transformation, 0, limit)
+	out := make([]step, 0, limit)
 	adds := 0
 	for _, s := range steps {
 		if s.Type == TransformDelete {
@@ -473,25 +480,25 @@ func selectBeams(next []*candidate, k int) []*candidate {
 // extendOne runs GetSteps + (diverse) beam extension for one parent beam,
 // appending admitted candidates to next. seen holds the key of every
 // candidate admitted so far in the search; extendBeams adds to it.
-func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess *interp.CacheView, next []*candidate, cand *candidate, seen map[string]bool, timings *Timings, counter *extendStats) []*candidate {
+func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess *interp.CacheView, sc *entropy.Scorer, next []*candidate, cand *candidate, seen map[string]bool, timings *Timings, counter *extendStats) []*candidate {
 	cfg := st.Config
 	before := len(next)
 	t0 := time.Now()
-	steps := getStepsOpt(cand, st.Corpus.Vocab, !cfg.DisableLookahead)
+	steps := getStepsOpt(cand, sc, !cfg.DisableLookahead)
 	timings.GetSteps += time.Since(t0)
 	steps = limitSteps(steps, cfg.StepLimit)
 	t1, check0 := time.Now(), counter.CheckTime
 	if cfg.Diversity {
-		clusters := clusterSteps(cand, steps, diversityClusters, st.Corpus.Vocab)
+		clusters := clusterSteps(cand, steps, diversityClusters, sc)
 		per := cfg.BeamSize / diversityClusters
 		if per < 1 {
 			per = 1
 		}
 		for _, cl := range clusters {
-			next = st.extendBeams(ctx, o, sess, next, cand, cl, per, seen, counter)
+			next = st.extendBeams(ctx, o, sess, sc, next, cand, cl, per, seen, counter)
 		}
 	} else {
-		next = st.extendBeams(ctx, o, sess, next, cand, steps, cfg.BeamSize, seen, counter)
+		next = st.extendBeams(ctx, o, sess, sc, next, cand, steps, cfg.BeamSize, seen, counter)
 	}
 	// The early checks run inside extendBeams but are CheckIfExecutes'
 	// time, so GetTopKBeams leaves them out and the phases stay disjoint.
@@ -505,7 +512,7 @@ func (st *Standardizer) extendOne(ctx context.Context, o *obsState, sess *interp
 // extendBeams is Algorithm 2 (GetTopKBeams): it walks the ranked
 // transformations and admits a candidate when it would enter the current
 // top-K, verifying the execution constraint first when early checking is on.
-func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess *interp.CacheView, acc []*candidate, cand *candidate, steps []Transformation, k int, seen map[string]bool, res *extendStats) []*candidate {
+func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess *interp.CacheView, sc *entropy.Scorer, acc []*candidate, cand *candidate, steps []step, k int, seen map[string]bool, res *extendStats) []*candidate {
 	admitted := 0
 	for _, tr := range steps {
 		if admitted >= k {
@@ -516,14 +523,14 @@ func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess *inte
 		if ctx.Err() != nil {
 			break
 		}
-		nc := cand.apply(tr, st.Corpus.Vocab)
+		nc := cand.apply(tr, sc)
 		if seen[nc.key] {
 			continue
 		}
 		if st.Config.EarlyCheck {
 			t0 := time.Now()
 			pprof.SetGoroutineLabels(o.ctxCheck)
-			_, err := st.runScript(o.ctxCheck, sess, dag.ToScript(nc.lines))
+			_, err := st.runLines(o.ctxCheck, sess, nc.lines)
 			pprof.SetGoroutineLabels(o.ctxExtend)
 			dur := time.Since(t0)
 			res.CheckTime += dur
@@ -729,7 +736,7 @@ func (st *Standardizer) verifyWith(ctx context.Context, o *obsState, sess *inter
 		out, cached := cache.out[cand]
 		if !cached {
 			t0 := time.Now()
-			run, err := st.runScript(o.ctxVerify, sess, dag.ToScript(cand.lines))
+			run, err := st.runLines(o.ctxVerify, sess, cand.lines)
 			res.ExecChecks++
 			if err != nil || run == nil || run.Main == nil {
 				if ctx.Err() != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -373,21 +374,28 @@ func TestEarliestInsertPos(t *testing.T) {
 func TestCandidateApply(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	g := dag.Build(script.MustParse(userScript))
-	c := newCandidate(g.Lines, st.Corpus.Vocab)
+	sc := st.Corpus.Vocab.NewScorer()
+	c := newCandidate(g.Lines, sc)
 	atom := st.Corpus.Vocab.Lines["df = df.fillna(df.mean())"]
-	added := c.apply(Transformation{Type: TransformAdd, Atom: atom, Pos: 2}, st.Corpus.Vocab)
+	added := c.apply(step{Transformation: Transformation{Type: TransformAdd, Atom: atom, Pos: 2}, re: 1.5}, sc)
 	if len(added.lines) != len(c.lines)+1 {
 		t.Fatal("add did not grow the script")
 	}
 	if added.lowWater != 3 {
 		t.Fatalf("lowWater = %d", added.lowWater)
 	}
-	del := c.apply(Transformation{Type: TransformDelete, Atom: c.lines[2], Pos: 2}, st.Corpus.Vocab)
+	if added.re != 1.5 || added.key != linesKey(added.lines) || !slices.Equal(added.ids, sc.InternAll(added.lines)) {
+		t.Fatalf("added candidate: re %v, key %q, ids %v", added.re, added.key, added.ids)
+	}
+	del := c.apply(step{Transformation: Transformation{Type: TransformDelete, Atom: c.lines[2], Pos: 2}}, sc)
 	if len(del.lines) != len(c.lines)-1 {
 		t.Fatal("delete did not shrink the script")
 	}
 	if del.lowWater != 1 {
 		t.Fatalf("delete lowWater = %d (deletes allow one step back)", del.lowWater)
+	}
+	if !slices.Equal(del.ids, sc.InternAll(del.lines)) {
+		t.Fatalf("deleted candidate ids %v", del.ids)
 	}
 	// The original candidate is untouched.
 	if len(c.lines) != g.Script.NumStmts() {
@@ -398,8 +406,9 @@ func TestCandidateApply(t *testing.T) {
 func TestGetStepsRankedByRE(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	g := dag.Build(script.MustParse(userScript))
-	c := newCandidate(g.Lines, st.Corpus.Vocab)
-	steps := getStepsOpt(c, st.Corpus.Vocab, true)
+	sc := st.Corpus.Vocab.NewScorer()
+	c := newCandidate(g.Lines, sc)
+	steps := getStepsOpt(c, sc, true)
 	if len(steps) == 0 {
 		t.Fatal("no steps enumerated")
 	}

@@ -48,11 +48,20 @@ func (tr Transformation) String() string {
 	return fmt.Sprintf("%s @%d: %s", tr.Type, tr.Pos, tr.Atom.Key)
 }
 
+// step is a ranked transformation together with the plain RE of the
+// script it produces, which candidate.apply reuses: tr.RE can instead be
+// the chained-delete lookahead's score (see deleteLookahead).
+type step struct {
+	Transformation
+	re float64
+}
+
 // candidate is one in-progress transformation sequence: the current line
 // atoms, the score, the monotonicity low-water mark, and bookkeeping.
 type candidate struct {
 	lines    []dag.LineInfo
-	key      string // the line keys, each ended by "\n": the dedup key and tie-break
+	ids      []int32 // the lines' atom ids in the search's Scorer
+	key      string  // the line keys, each ended by "\n": the dedup key and tie-break
 	re       float64
 	lowWater int // transformations must not touch positions before this
 	applied  []Transformation
@@ -60,7 +69,13 @@ type candidate struct {
 }
 
 // newCandidate returns the candidate for lines, scored and keyed.
-func newCandidate(lines []dag.LineInfo, v *entropy.Vocab) *candidate {
+func newCandidate(lines []dag.LineInfo, sc *entropy.Scorer) *candidate {
+	ids := sc.InternAll(lines)
+	return &candidate{lines: lines, ids: ids, key: linesKey(lines), re: sc.RE(ids)}
+}
+
+// linesKey joins the line keys, each ended by "\n".
+func linesKey(lines []dag.LineInfo) string {
 	n := 0
 	for _, li := range lines {
 		n += len(li.Key) + 1
@@ -71,13 +86,15 @@ func newCandidate(lines []dag.LineInfo, v *entropy.Vocab) *candidate {
 		b.WriteString(li.Key)
 		b.WriteByte('\n')
 	}
-	return &candidate{lines: lines, key: b.String(), re: v.RELines(lines)}
+	return b.String()
 }
 
-// apply returns the candidate produced by one transformation, enforcing
-// monotonicity (optimization 3): the new low-water mark is the transformed
-// position, so later transformations cannot modify earlier lines.
-func (c *candidate) apply(tr Transformation, v *entropy.Vocab) *candidate {
+// apply returns the candidate produced by one ranked transformation,
+// enforcing monotonicity (optimization 3): the new low-water mark is the
+// transformed position, so later transformations cannot modify earlier
+// lines.
+func (c *candidate) apply(s step, sc *entropy.Scorer) *candidate {
+	tr := s.Transformation
 	lines := applyLines(c.lines, tr)
 	var low int
 	switch tr.Type {
@@ -94,11 +111,29 @@ func (c *candidate) apply(tr Transformation, v *entropy.Vocab) *candidate {
 			low = 0
 		}
 	}
-	nc := newCandidate(lines, v)
-	nc.lowWater = low
-	nc.applied = append(append([]Transformation(nil), c.applied...), tr)
-	nc.parent = c
-	return nc
+	return &candidate{
+		lines:    lines,
+		ids:      applyIDs(make([]int32, 0, len(c.ids)+1), c.ids, tr, sc.Intern(tr.Atom)),
+		key:      linesKey(lines),
+		re:       s.re,
+		lowWater: low,
+		applied:  append(append([]Transformation(nil), c.applied...), tr),
+		parent:   c,
+	}
+}
+
+// applyIDs appends to dst the atom ids produced by one transformation of
+// ids, whose atom has id atom: applyLines on ids.
+func applyIDs(dst, ids []int32, tr Transformation, atom int32) []int32 {
+	switch tr.Type {
+	case TransformAdd:
+		dst = append(dst, ids[:tr.Pos]...)
+		dst = append(dst, atom)
+		return append(dst, ids[tr.Pos:]...)
+	default:
+		dst = append(dst, ids[:tr.Pos]...)
+		return append(dst, ids[tr.Pos+1:]...)
+	}
 }
 
 // applyLines returns the lines produced by one transformation, leaving the
@@ -180,8 +215,10 @@ func earliestInsertPos(lines []dag.LineInfo, atom dag.LineInfo) int {
 // near their corpus mean relative position. The result is sorted by the RE
 // of the resulting script, most standard first; lookahead enables the
 // chained-delete ranking of corpus-unseen atoms.
-func getStepsOpt(c *candidate, v *entropy.Vocab, lookahead bool) []Transformation {
-	var steps []Transformation
+func getStepsOpt(c *candidate, sc *entropy.Scorer, lookahead bool) []step {
+	v := sc.Vocab()
+	var steps []step
+	buf := make([]int32, 0, len(c.ids)+1)
 	// Deletes. A single delete inside a connected block of corpus-unseen
 	// atoms (e.g. an injected leakage snippet) barely moves RE because its
 	// unseen edges merely re-route; the gain lands only when the whole block
@@ -193,13 +230,15 @@ func getStepsOpt(c *candidate, v *entropy.Vocab, lookahead bool) []Transformatio
 			continue
 		}
 		tr := Transformation{Type: TransformDelete, Atom: c.lines[i], Pos: i}
-		tr.RE = v.RELines(applyLines(c.lines, tr))
+		buf = applyIDs(buf[:0], c.ids, tr, -1)
+		re := sc.RE(buf)
+		tr.RE = re
 		if lookahead && v.LineCounts[c.lines[i].Key] == 0 {
-			if la := deleteLookahead(c.lines, i, v, 3); la < tr.RE {
+			if la := deleteLookahead(sc, c.lines, i, re, 3); la < tr.RE {
 				tr.RE = la
 			}
 		}
-		steps = append(steps, tr)
+		steps = append(steps, step{Transformation: tr, re: re})
 	}
 	// Adds: every corpus line atom not already present, at up to three
 	// candidate positions. Exact duplicates are excluded — repeating an
@@ -252,29 +291,28 @@ func getStepsOpt(c *candidate, v *entropy.Vocab, lookahead bool) []Transformatio
 		if suggested > hi {
 			suggested = hi
 		}
-		positions := []int{lo, suggested, hi}
-		seen := map[int]bool{}
-		for _, p := range positions {
-			if seen[p] {
+		id := sc.Intern(atom)
+		for k, p := range [3]int{lo, suggested, hi} {
+			if (k > 0 && p == lo) || (k == 2 && p == suggested) {
 				continue
 			}
-			seen[p] = true
 			tr := Transformation{Type: TransformAdd, Atom: atom, Pos: p}
-			tr.RE = v.RELines(applyLines(c.lines, tr))
-			steps = append(steps, tr)
+			buf = applyIDs(buf[:0], c.ids, tr, id)
+			tr.RE = sc.RE(buf)
+			steps = append(steps, step{Transformation: tr, re: tr.RE})
 		}
 	}
 	sortSteps(steps)
 	return steps
 }
 
-// deleteLookahead returns the best RE reachable from deleting lines[pos] and
-// then greedily deleting up to depth-1 more corpus-unseen atoms at positions
-// ≥ pos (respecting monotonicity). It is a ranking signal only; the beam
-// still applies one delete at a time.
-func deleteLookahead(lines []dag.LineInfo, pos int, v *entropy.Vocab, depth int) float64 {
+// deleteLookahead returns the best RE reachable from deleting lines[pos],
+// which scores best, and then greedily deleting up to depth-1 more
+// corpus-unseen atoms at positions ≥ pos (respecting monotonicity). It is a
+// ranking signal only; the beam still applies one delete at a time.
+func deleteLookahead(sc *entropy.Scorer, lines []dag.LineInfo, pos int, best float64, depth int) float64 {
+	v := sc.Vocab()
 	cur := applyLines(lines, Transformation{Type: TransformDelete, Pos: pos})
-	best := v.RELines(cur)
 	low := pos - 1
 	if low < 0 {
 		low = 0
@@ -287,7 +325,7 @@ func deleteLookahead(lines []dag.LineInfo, pos int, v *entropy.Vocab, depth int)
 				continue
 			}
 			nl := applyLines(cur, Transformation{Type: TransformDelete, Pos: i})
-			if re := v.RELines(nl); re < bestRE {
+			if re := sc.RELines(nl); re < bestRE {
 				bestRE, bestI, bestLines = re, i, nl
 			}
 		}
@@ -306,7 +344,7 @@ func deleteLookahead(lines []dag.LineInfo, pos int, v *entropy.Vocab, depth int)
 
 // sortSteps orders transformations by ascending RE with deterministic
 // tie-breaking.
-func sortSteps(steps []Transformation) {
+func sortSteps(steps []step) {
 	sort.Slice(steps, func(i, j int) bool {
 		a, b := steps[i], steps[j]
 		if a.RE != b.RE {

@@ -9,8 +9,7 @@
 package entropy
 
 import (
-	"math"
-	"sort"
+	"sync"
 
 	"lucidscript/internal/dag"
 )
@@ -40,6 +39,11 @@ type Vocab struct {
 	MeanPos map[string]float64
 	// NumScripts is the corpus size.
 	NumScripts int
+
+	// ixOnce builds ix, the id form of the fields above, on first use. A
+	// Vocab is therefore not modified after it is first scored against.
+	ixOnce sync.Once
+	ix     *index
 }
 
 // BuildVocab curates the search space from corpus DAGs with every script
@@ -166,93 +170,18 @@ func (v *Vocab) NumUniqueLines() int { return len(v.LineCounts) }
 func (v *Vocab) NumUniqueUnigrams() int { return len(v.UnigramCounts) }
 
 // SortedLineKeys returns the line-atom keys ordered by descending corpus
-// count, ties broken lexicographically, for deterministic enumeration.
-func (v *Vocab) SortedLineKeys() []string {
-	keys := make([]string, 0, len(v.LineCounts))
-	for k := range v.LineCounts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if v.LineCounts[keys[i]] != v.LineCounts[keys[j]] {
-			return v.LineCounts[keys[i]] > v.LineCounts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
-}
-
-// REFromEdges computes the smoothed relative entropy of a script whose
-// data-flow edges are given as keys, against the corpus distribution.
-// An empty edge list yields the maximum possible RE over the union space
-// (a script with no steps is maximally non-standard relative to any corpus
-// with steps; the paper leaves this case undefined).
-func (v *Vocab) REFromEdges(edgeKeys []string) float64 {
-	p := map[string]int{}
-	for _, k := range edgeKeys {
-		p[k]++
-	}
-	// Union sample space: corpus edges plus script edges. Only its size
-	// enters the smoothing, so it is counted, never built.
-	spaceN := len(v.EdgeCounts)
-	for k := range p {
-		if _, ok := v.EdgeCounts[k]; !ok {
-			spaceN++
-		}
-	}
-	qTotal := float64(v.TotalEdges) + Epsilon*float64(spaceN)
-	pTotal := float64(len(edgeKeys))
-	// Sum in sorted key order so the floating-point result is identical
-	// across runs (map iteration order would otherwise perturb ties in the
-	// beam search).
-	if pTotal == 0 {
-		// Treat as a uniform P over the space, which is then the corpus
-		// edges alone: maximally uninformative.
-		n := float64(spaceN)
-		if n == 0 {
-			return 0
-		}
-		keys := make([]string, 0, spaceN)
-		for k := range v.EdgeCounts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		re := 0.0
-		for _, k := range keys {
-			px := 1.0 / n
-			qx := (float64(v.EdgeCounts[k]) + Epsilon) / qTotal
-			re += px * math.Log(px/qx)
-		}
-		return re
-	}
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	re := 0.0
-	for _, k := range keys {
-		px := float64(p[k]) / pTotal
-		qx := (float64(v.EdgeCounts[k]) + Epsilon) / qTotal
-		re += px * math.Log(px/qx)
-	}
-	return re
-}
+// count, ties broken lexicographically, for deterministic enumeration. The
+// slice is computed once per Vocab and shared: callers must not modify it.
+func (v *Vocab) SortedLineKeys() []string { return v.index().lineKeys }
 
 // RE computes the smoothed relative entropy of a script DAG w.r.t. the
 // corpus (Definition 4.1).
-func (v *Vocab) RE(g *dag.Graph) float64 {
-	keys := make([]string, len(g.Edges))
-	for i, e := range g.Edges {
-		keys[i] = e.Key()
-	}
-	return v.REFromEdges(keys)
-}
+func (v *Vocab) RE(g *dag.Graph) float64 { return v.RELines(g.Lines) }
 
 // RELines computes the smoothed relative entropy of a line-atom sequence,
-// deriving its edges first. This is the scoring primitive of the search.
-func (v *Vocab) RELines(lines []dag.LineInfo) float64 {
-	return v.REFromEdges(dag.EdgeKeysOf(lines))
-}
+// deriving its edges first. A search scoring many sequences holds one
+// Scorer instead.
+func (v *Vocab) RELines(lines []dag.LineInfo) float64 { return v.NewScorer().RELines(lines) }
 
 // Improvement returns the paper's "% improvement" of a modified script over
 // the original: (RE(s_u) - RE(ŝ_u)) / RE(s_u) × 100.

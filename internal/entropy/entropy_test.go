@@ -89,12 +89,12 @@ func TestREFiniteOnUnseenEdges(t *testing.T) {
 
 func TestREEmptyScript(t *testing.T) {
 	v := BuildVocab(corpusGraphs(t, s1, s2))
-	re := v.REFromEdges(nil)
+	re := v.RELines(nil)
 	if math.IsNaN(re) || math.IsInf(re, 0) {
 		t.Fatalf("empty-script RE = %v", re)
 	}
 	empty := BuildVocab(nil)
-	if got := empty.REFromEdges(nil); got != 0 {
+	if got := empty.RELines(nil); got != 0 {
 		t.Fatalf("empty/empty RE = %v", got)
 	}
 }

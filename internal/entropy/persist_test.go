@@ -68,7 +68,8 @@ func TestDecodeVocabEmptyMaps(t *testing.T) {
 	if v.EdgeCounts == nil || v.LineCounts == nil || v.UnigramCounts == nil || v.MeanPos == nil {
 		t.Fatal("decoded maps must be non-nil")
 	}
-	if got := v.REFromEdges([]string{"a -> b"}); math.IsNaN(got) {
+	lines := []dag.LineInfo{{Key: "a", Writes: []string{"x"}}, {Key: "b", Reads: []string{"x"}}}
+	if got := v.RELines(lines); math.IsNaN(got) {
 		t.Fatal("empty vocab should still score")
 	}
 }

@@ -111,22 +111,32 @@ func (c *SessionCache) Run(s *script.Script) (*Result, error) {
 // fully executed (or genuinely failed) statement, so the cache stays
 // consistent and reusable after an abort.
 func (c *SessionCache) RunContext(ctx context.Context, s *script.Script) (*Result, error) {
-	return c.runContext(ctx, s, nil)
+	return c.runContext(ctx, s, stmtKeys(s), nil)
 }
 
-// runContext is RunContext with optional per-view stats attribution: when
-// view is non-nil, every statement's hit/miss delta is also folded into the
+// stmtKeys renders every statement once: the trie keys of a run.
+func stmtKeys(s *script.Script) []string {
+	keys := make([]string, len(s.Stmts))
+	for i, st := range s.Stmts {
+		keys[i] = st.Source()
+	}
+	return keys
+}
+
+// runContext is RunContext on pre-rendered statements (keys[i] is
+// s.Stmts[i].Source()) with optional per-view stats attribution: when view
+// is non-nil, every statement's hit/miss delta is also folded into the
 // view's private counters (the shared totals always accumulate).
-func (c *SessionCache) runContext(ctx context.Context, s *script.Script, view *CacheView) (*Result, error) {
+func (c *SessionCache) runContext(ctx context.Context, s *script.Script, keys []string, view *CacheView) (*Result, error) {
 	node := c.root
 	for i, st := range s.Stmts {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("interp: canceled before line %d (%s): %w", i+1, st.Source(), err)
+			return nil, fmt.Errorf("interp: canceled before line %d (%s): %w", i+1, keys[i], err)
 		}
 		if err := c.limits.checkStep(i); err != nil {
-			return nil, &StmtError{Line: i + 1, Stmt: st.Source(), Err: err}
+			return nil, &StmtError{Line: i + 1, Stmt: keys[i], Err: err}
 		}
-		next, delta, err := c.step(node, i, st)
+		next, delta, err := c.step(node, i, st, keys[i])
 		if view != nil {
 			view.add(delta)
 		}
@@ -149,14 +159,13 @@ func (c *SessionCache) Stats() CacheStats {
 	return c.stats
 }
 
-// step advances one statement from node, returning the child node for st and
-// the per-statement stats delta (one hit or one miss with its exec time).
+// step advances one statement from node, returning the child node for st,
+// whose rendering is key, and the per-statement stats delta (one hit or one miss with its exec time).
 // On a hit the cached child is returned; on a miss the parent environment is
 // forked and the statement executed outside the lock, then inserted. When two
 // goroutines race on the same miss, the first insert wins and the loser's
 // result is discarded — determinism makes them interchangeable.
-func (c *SessionCache) step(node *trieNode, line int, st script.Stmt) (*trieNode, CacheStats, error) {
-	key := st.Source()
+func (c *SessionCache) step(node *trieNode, line int, st script.Stmt, key string) (*trieNode, CacheStats, error) {
 	c.mu.Lock()
 	c.clock++
 	if child, ok := node.children[key]; ok {
@@ -258,7 +267,13 @@ func (v *CacheView) add(d CacheStats) {
 // RunContext executes the script through the shared cache, attributing the
 // per-statement traffic to this view.
 func (v *CacheView) RunContext(ctx context.Context, s *script.Script) (*Result, error) {
-	return v.c.runContext(ctx, s, v)
+	return v.c.runContext(ctx, s, stmtKeys(s), v)
+}
+
+// RunKeyed is RunContext for a caller that already holds every statement's
+// rendering: keys[i] must be s.Stmts[i].Source(), the statement's trie key.
+func (v *CacheView) RunKeyed(ctx context.Context, s *script.Script, keys []string) (*Result, error) {
+	return v.c.runContext(ctx, s, keys, v)
 }
 
 // Stats returns a snapshot of this view's traffic counters.
